@@ -37,7 +37,7 @@ def main() -> None:
     )
     train, _ = generate(spec)
     sol = solve_anytime(
-        train, SearchOptions(mode="anytime", budget_ms=args.budget_ms)
+        train, SearchOptions(budget_ms=args.budget_ms)
     )
     tag = "optimal" if sol.optimal else "truncated"
     print(f"single run, budget {args.budget_ms:.0f} ms ({tag}):")
@@ -46,7 +46,7 @@ def main() -> None:
 
     print("\nbudget sweep:")
     for budget in BUDGET_SWEEP:
-        s = solve_anytime(train, SearchOptions(mode="anytime", budget_ms=budget))
+        s = solve_anytime(train, SearchOptions(budget_ms=budget))
         kind = "fallback" if s.fallback else ("optimal" if s.optimal else "incumbent")
         print(f"  {budget:>7.0f} ms  loss {s.loss:>5d}  ({kind})")
 

@@ -48,7 +48,7 @@ def main() -> None:
         )
         train, test = generate(spec)
         solution = solve_anytime(
-            train, SearchOptions(mode="anytime", budget_ms=args.budget_ms)
+            train, SearchOptions(budget_ms=args.budget_ms)
         )
         report = compare_methods(train, test, METHODS, solution=solution)
         recalls.append(report.reference_recall)

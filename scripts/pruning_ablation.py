@@ -12,20 +12,9 @@ import argparse
 import statistics
 
 from calib import GenerateSpec, SearchOptions, generate, solve_exact
+from calib.search import ABLATIONS
 
-CONFIGS = [
-    ("all-on", {}),
-    ("no-bound", {"enable_prune_bound": False}),
-    ("no-equivalence", {"enable_prune_equivalence": False}),
-    ("no-depth-reduction", {"enable_depth_reduction": False}),
-    ("random-order", {"enable_difficulty_order": False}),
-    ("all-off", {
-        "enable_prune_bound": False,
-        "enable_prune_equivalence": False,
-        "enable_depth_reduction": False,
-        "enable_difficulty_order": False,
-    }),
-]
+CONFIGS = list(ABLATIONS.items())
 
 
 def main() -> None:

@@ -8,13 +8,11 @@ that joint operating point against per-classifier calibration baselines.
 
 from .calibrators import (
     AffineParams,
-    AssignmentSets,
     CalibrationModel,
     IsotonicParams,
     ShiftParams,
     SigmoidParams,
     apply_map,
-    assignment_sets,
     calibrated_matrix,
     calibrated_score,
     ensemble_calibrated_score,
@@ -82,15 +80,13 @@ from .search import (
     solve_anytime,
     solve_exact,
 )
-from .synthgen import CounterRng, GenerateSpec, generate, plant_hardness
+from .synthgen import CounterRng, GenerateSpec, generate
 from .thresholds import (
     CandidateThresholdSet,
     ClassifierCandidates,
     DifficultyOrder,
-    delta,
     difficulty_order,
     extract_candidates,
-    tighten_to_cover,
 )
 
 __version__ = "0.1.0"

@@ -8,20 +8,17 @@ calibration only changes how classifiers compare against each other.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import (
     DegenerateVariance,
     InfeasibleSolution,
-    IoError,
     ParseError,
     UnknownClassifier,
 )
-from .problem import Problem, Solution, check_feasible
+from .problem import Problem, Solution, _read_json, _write_json, check_feasible
 from .synthgen import CounterRng
 
 METHODS = (
@@ -92,28 +89,6 @@ class CalibrationModel:
     @property
     def num_classifiers(self) -> int:
         return len(self.maps)
-
-
-@dataclass(frozen=True)
-class AssignmentSets:
-    """Per classifier, the positives scoring above its joint threshold.
-
-    A positive may appear in several sets; for a feasible solution the union
-    covers every positive.
-    """
-
-    positive_sets: tuple[tuple[int, ...], ...]
-
-
-def assignment_sets(problem: Problem, solution: Solution) -> AssignmentSets:
-    theta = np.asarray(tuple(solution.config))
-    covered = problem.positive_scores > theta[:, None]
-    return AssignmentSets(
-        positive_sets=tuple(
-            tuple(int(p) for p in np.flatnonzero(covered[j]))
-            for j in range(problem.num_classifiers)
-        )
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +186,12 @@ def fit_joint_sigmoid(problem: Problem, solution: Solution) -> CalibrationModel:
     """
     if not check_feasible(problem, solution.config):
         raise InfeasibleSolution("joint sigmoid needs a feasible solution")
-    sets = assignment_sets(problem, solution)
+    theta = np.asarray(tuple(solution.config))
+    assigned = problem.positive_scores > theta[:, None]
     maps = []
     degenerate = []
     for j in range(problem.num_classifiers):
-        members = np.array(sets.positive_sets[j], dtype=np.int64)
-        pos = problem.positive_scores[j][members]
+        pos = problem.positive_scores[j][assigned[j]]
         params, is_degenerate = _sigmoid_map(pos, problem.negative_scores[j])
         maps.append(params)
         if is_degenerate:
@@ -407,6 +382,8 @@ def _map_to_doc(params) -> dict:
 
 
 def _map_from_doc(doc: dict):
+    if not isinstance(doc, dict):
+        raise ParseError(f"classifier map {doc!r} is not an object")
     kind = doc.get("kind")
     if kind == "constant":
         return SigmoidParams(0.0, 0.0, degenerate=True, constant=float(doc["value"]))
@@ -432,21 +409,11 @@ def save_model(model: CalibrationModel, path) -> None:
         "classifiers": [_map_to_doc(m) for m in model.maps],
         "degenerate": list(model.degenerate),
     }
-    try:
-        Path(path).write_text(json.dumps(doc, indent=1) + "\n")
-    except OSError as e:
-        raise IoError(f"cannot write {path}: {e}") from e
+    _write_json(doc, path)
 
 
 def load_model(path) -> CalibrationModel:
-    try:
-        text = Path(path).read_text()
-    except OSError as e:
-        raise IoError(f"cannot read {path}: {e}") from e
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path} is not valid JSON: {e}") from e
+    doc = _read_json(path)
     try:
         if doc["version"] != MODEL_FORMAT_VERSION:
             raise ParseError(f"unsupported model version {doc['version']!r}")

@@ -14,9 +14,11 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .calibrators import (
+    METHODS,
     fit_affine,
     fit_independent_sigmoid,
     fit_isotonic,
@@ -25,10 +27,11 @@ from .calibrators import (
     load_model,
     save_model,
 )
-from .errors import CalibError, TooLarge
+from .errors import CalibError, InvalidSpec, TooLarge
 from .evaluation import average_precision, fp_at_recall, pr_curve
 from .oracle import oracle_solve
 from .problem import (
+    _read_json,
     derive_assignment,
     load_problem,
     load_solution,
@@ -38,7 +41,13 @@ from .problem import (
     Solution,
     ThresholdConfig,
 )
-from .search import SearchOptions, solve_anytime, solve_exact
+from .search import (
+    ABLATIONS,
+    PRUNING_FLAGS,
+    SearchOptions,
+    solve_anytime,
+    solve_exact,
+)
 from .synthgen import GenerateSpec, generate
 
 EXIT_OK = 0
@@ -88,7 +97,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="jointly optimize thresholds")
     solve.add_argument("problem")
-    solve.add_argument("--mode", choices=("exact", "anytime"), default="exact")
+    solve.add_argument(
+        "--mode", choices=("exact", "anytime"), default="exact",
+        help="accepted for compatibility; a budget is what makes a run anytime",
+    )
     solve.add_argument("--budget-ms", type=float)
     solve.add_argument("--node-budget", type=int)
     solve.add_argument("--no-prune-bound", action="store_true")
@@ -110,11 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     calibrate = sub.add_parser("calibrate", help="fit a calibration model")
     calibrate.add_argument("problem")
-    calibrate.add_argument(
-        "--method", required=True,
-        choices=("joint-sigmoid", "indep-sigmoid", "isotonic", "affine",
-                 "joint-thresholds"),
-    )
+    calibrate.add_argument("--method", required=True, choices=METHODS)
     calibrate.add_argument("--solution", help="solution file for joint methods")
     calibrate.add_argument("--cutoff", type=float, default=-1.0)
     calibrate.add_argument("--sample-count", type=int, default=200_000)
@@ -170,12 +178,12 @@ def _cmd_solve(args) -> int:
         enable_prune_equivalence=not args.no_prune_equiv,
         enable_depth_reduction=not args.no_depth_reduce,
         enable_difficulty_order=not args.random_order,
-        mode=args.mode,
         budget_ms=args.budget_ms,
         node_budget=args.node_budget,
         random_order_seed=args.order_seed if args.random_order else None,
         trace=trace,
     )
+    # Both names are the same search (see search.solve_anytime).
     solver = solve_exact if args.mode == "exact" else solve_anytime
     solution = solver(problem, options)
     save_solution(solution, args.out)
@@ -219,7 +227,7 @@ def _cmd_calibrate(args) -> int:
                   "--solution", file=sys.stderr)
             return EXIT_USAGE
         solution = load_solution(args.solution)
-    if args.method == "indep-sigmoid":
+    if args.method == "independent-sigmoid":
         model = fit_independent_sigmoid(problem, cutoff=args.cutoff)
     elif args.method == "joint-sigmoid":
         model = fit_joint_sigmoid(problem, solution)
@@ -258,21 +266,63 @@ def _cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-_DEFAULT_ABLATIONS = [
-    {"name": "all-on"},
-    {"name": "no-bound", "enable_prune_bound": False},
-    {"name": "no-equivalence", "enable_prune_equivalence": False},
-    {"name": "no-depth-reduction", "enable_depth_reduction": False},
-    {"name": "random-order", "enable_difficulty_order": False},
-    {"name": "all-off", "enable_prune_bound": False, "enable_prune_equivalence": False,
-     "enable_depth_reduction": False, "enable_difficulty_order": False},
-]
+_BENCH_KEYS = {
+    "seeds", "ablations", "classifiers", "positives", "negatives", "dims",
+    "spread", "noise", "hardness", "hardness_scale", "budget_ms", "node_budget",
+}
+
+
+def _bench_ablations(doc: dict) -> list[tuple[str, dict]]:
+    """Named pruning-flag sets of a bench spec; the shared table by default."""
+    if "ablations" not in doc:
+        return list(ABLATIONS.items())
+    out = []
+    for entry in doc["ablations"]:
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            raise InvalidSpec(f"ablation {entry!r} needs a string 'name'")
+        flags = {k: v for k, v in entry.items() if k != "name"}
+        unknown = sorted(set(flags) - set(PRUNING_FLAGS))
+        if unknown:
+            raise InvalidSpec(
+                f"ablation {entry['name']!r}: unknown flag(s) {', '.join(unknown)}; "
+                f"known flags: {', '.join(PRUNING_FLAGS)}"
+            )
+        if not all(isinstance(v, bool) for v in flags.values()):
+            raise InvalidSpec(f"ablation {entry['name']!r}: flags must be true or false")
+        out.append((entry["name"], flags))
+    return out
 
 
 def _cmd_bench(args) -> int:
-    doc = json.loads(Path(args.spec).read_text())
-    seeds = doc.get("seeds", [1])
-    ablations = doc.get("ablations", _DEFAULT_ABLATIONS)
+    doc = _read_json(args.spec)
+    unknown = sorted(set(doc) - _BENCH_KEYS)
+    if unknown:
+        raise InvalidSpec(
+            f"unknown bench spec key(s) {', '.join(unknown)}; "
+            f"known keys: {', '.join(sorted(_BENCH_KEYS))}"
+        )
+    try:
+        specs = [
+            GenerateSpec(
+                seed=seed,
+                num_classifiers=doc.get("classifiers", 8),
+                num_positives=doc.get("positives", 12),
+                num_negatives=doc.get("negatives", 60),
+                dimensions=doc.get("dims", 16),
+                spread=doc.get("spread", 0.15),
+                noise=doc.get("noise", 0.05),
+                hardness_fraction=doc.get("hardness", 0.0),
+                hardness_scale=doc.get("hardness_scale", 0.55),
+            )
+            for seed in doc.get("seeds", [1])
+        ]
+        ablations = [
+            (name, SearchOptions(budget_ms=doc.get("budget_ms"),
+                                 node_budget=doc.get("node_budget"), **flags))
+            for name, flags in _bench_ablations(doc)
+        ]
+    except (TypeError, ValueError) as e:
+        raise InvalidSpec(f"{args.spec}: {e}") from e
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     nodes_path = out_dir / "bench_nodes.csv"
@@ -287,31 +337,11 @@ def _cmd_bench(args) -> int:
             "positives_removed_by_root", "levels", "wall_ms",
         ])
         curve_csv.writerow(["config", "seed", "elapsed_ms", "loss"])
-        for seed in seeds:
-            spec = GenerateSpec(
-                seed=seed,
-                num_classifiers=doc.get("classifiers", 8),
-                num_positives=doc.get("positives", 12),
-                num_negatives=doc.get("negatives", 60),
-                dimensions=doc.get("dims", 16),
-                spread=doc.get("spread", 0.15),
-                noise=doc.get("noise", 0.05),
-                hardness_fraction=doc.get("hardness", 0.0),
-                hardness_scale=doc.get("hardness_scale", 0.55),
-            )
+        for spec in specs:
+            seed = spec.seed
             train, _ = generate(spec)
-            for ablation in ablations:
-                cfg = dict(ablation)
-                name = cfg.pop("name")
-                options = SearchOptions(
-                    mode=doc.get("mode", "exact"),
-                    budget_ms=doc.get("budget_ms"),
-                    node_budget=doc.get("node_budget"),
-                    random_order_seed=seed,
-                    **cfg,
-                )
-                solver = solve_exact if options.mode == "exact" else solve_anytime
-                solution = solver(train, options)
+            for name, options in ablations:
+                solution = solve_exact(train, replace(options, random_order_seed=seed))
                 stats = solution.stats
                 nodes_csv.writerow([
                     name, seed, solution.loss, solution.optimal,

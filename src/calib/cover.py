@@ -65,12 +65,9 @@ class CoverState:
         self.neg_count = np.zeros(problem.num_negatives, dtype=np.int32)
         self.pos_count = np.zeros(problem.num_positives, dtype=np.int32)
         self.fp_count = 0
-        self.covered_positives = 0
         self.journal: list[tuple[int, int, np.ndarray]] = []
         for j in range(E):
-            root_covered = self._pos_order[j][: self._pos_prefix[j][0]]
-            self.covered_positives += int((self.pos_count[root_covered] == 0).sum())
-            self.pos_count[root_covered] += 1
+            self.pos_count[self._pos_order[j][: self._pos_prefix[j][0]]] += 1
 
     def _neg_slice(self, classifier: int, lo: int, hi: int) -> np.ndarray:
         prefix = self._neg_prefix[classifier]
@@ -113,7 +110,6 @@ class CoverState:
         self.fp_count += len(newly)
         pos_prefix = self._pos_prefix[classifier]
         psl = self._pos_order[classifier][pos_prefix[cur]: pos_prefix[target]]
-        self.covered_positives += int((self.pos_count[psl] == 0).sum())
         self.pos_count[psl] += 1
         self.journal.append((classifier, cur, newly))
         self.positions[classifier] = target
@@ -133,7 +129,6 @@ class CoverState:
         pos_prefix = self._pos_prefix[classifier]
         psl = self._pos_order[classifier][pos_prefix[old]: pos_prefix[cur]]
         self.pos_count[psl] -= 1
-        self.covered_positives -= int((self.pos_count[psl] == 0).sum())
         self.positions[classifier] = old
 
     def is_positive_covered(self, positive: int) -> bool:
@@ -153,16 +148,7 @@ class CoverState:
             self.candidates[j].thresholds[p] for j, p in enumerate(self.positions)
         )
 
-    def covered_negatives(self) -> frozenset[int]:
-        """Exact false-positive set; use for confirming fingerprint matches."""
-        return frozenset(int(n) for n in np.flatnonzero(self.neg_count > 0))
-
-    def fp_fingerprint(self) -> int:
-        """Order-independent fingerprint of the false-positive set."""
-        return hash(self.covered_negatives())
-
     def assert_consistent(self) -> None:
         """Debug oracle: incremental counters must match batch recomputation."""
         assert self.fp_count == int((self.neg_count > 0).sum())
         assert self.fp_count == compute_loss(self.problem, self.config())
-        assert self.covered_positives == int((self.pos_count > 0).sum())

@@ -29,7 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .problem import Problem, Solution, _thresholds_array
-from .search import SearchOptions, solve_anytime, solve_exact
+from .search import SearchOptions, solve_exact
 
 
 def recall_at_thresholds(problem: Problem, config) -> float:
@@ -148,7 +148,6 @@ class MethodRow:
 class ComparisonReport:
     reference_recall: float
     rows: list[MethodRow] = field(default_factory=list)
-    curves: dict[str, list[CurvePoint]] = field(default_factory=dict)
     solution: Solution | None = None
 
 
@@ -195,10 +194,7 @@ def compare_methods(
         )
     needs_solution = any(m in ("joint-sigmoid", "joint-thresholds") for m in methods)
     if needs_solution and solution is None:
-        if budget_ms is not None:
-            solution = solve_anytime(train, SearchOptions(mode="anytime", budget_ms=budget_ms))
-        else:
-            solution = solve_exact(train)
+        solution = solve_exact(train, SearchOptions(budget_ms=budget_ms))
 
     if solution is not None:
         joint_model = fit_joint_thresholds(train, solution)
@@ -217,5 +213,4 @@ def compare_methods(
             MethodRow(method=method, recall=point.recall, fp=point.fp,
                       tau=point.tau, ap=ap)
         )
-        report.curves[method] = pr_curve(test, model)
     return report

@@ -279,6 +279,13 @@ def _matrix_from_doc(doc: dict, key: str, num_rows: int) -> np.ndarray:
     return np.array(out, dtype=np.float64).reshape(num_rows, width or 0)
 
 
+def _ids_from_doc(doc: dict, key: str) -> tuple | None:
+    ids = doc.get(key)
+    if ids is not None and not isinstance(ids, list):
+        raise ParseError(f"field {key!r} is not an array")
+    return tuple(ids) if ids else None
+
+
 def load_problem(path) -> Problem:
     """Load and validate a problem file.
 
@@ -304,8 +311,8 @@ def load_problem(path) -> Problem:
     return Problem(
         positive_scores=pos,
         negative_scores=neg,
-        positive_ids=tuple(doc["positive_ids"]) if doc.get("positive_ids") else None,
-        negative_ids=tuple(doc["negative_ids"]) if doc.get("negative_ids") else None,
+        positive_ids=_ids_from_doc(doc, "positive_ids"),
+        negative_ids=_ids_from_doc(doc, "negative_ids"),
         metadata=dict(metadata) if metadata else None,
     )
 
@@ -351,6 +358,8 @@ def load_solution(path) -> Solution:
     doc = _read_json(path)
     try:
         raw_stats = doc.get("stats", {})
+        if not isinstance(raw_stats, dict):
+            raise ParseError("field 'stats' is not an object")
         stats = SearchStats(
             nodes_visited=raw_stats.get("nodes_visited", 0),
             nodes_pruned_bound=raw_stats.get("nodes_pruned_bound", 0),

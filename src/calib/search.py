@@ -34,14 +34,32 @@ from .thresholds import (
 
 TraceFn = Callable[[float, int, int], None]
 
+PRUNING_FLAGS = (
+    "enable_prune_bound",
+    "enable_prune_equivalence",
+    "enable_depth_reduction",
+    "enable_difficulty_order",
+)
+
+# Named pruning ablations: all rules on, each rule off alone, all off.
+ABLATIONS: dict[str, dict[str, bool]] = {
+    "all-on": {},
+    "no-bound": {"enable_prune_bound": False},
+    "no-equivalence": {"enable_prune_equivalence": False},
+    "no-depth-reduction": {"enable_depth_reduction": False},
+    "random-order": {"enable_difficulty_order": False},
+    "all-off": dict.fromkeys(PRUNING_FLAGS, False),
+}
+
 
 @dataclass
 class SearchOptions:
     """Switches and budgets for the tree search.
 
-    The four pruning observations can be ablated independently.  Budgets
-    apply in either mode.  budget_ms is polled at every node visit and may
-    expire before the first leaf, in which case the all-lowest fallback is
+    The four pruning observations (PRUNING_FLAGS) can be ablated
+    independently.  Without a budget the search runs to proof; with one it
+    is anytime.  budget_ms is polled at every node visit and may expire
+    before the first leaf, in which case the all-lowest fallback is
     returned; node_budget starts binding only once a first incumbent exists,
     so a tiny node budget still yields the first-descent leaf.
     """
@@ -50,15 +68,12 @@ class SearchOptions:
     enable_prune_equivalence: bool = True
     enable_depth_reduction: bool = True
     enable_difficulty_order: bool = True
-    mode: str = "exact"
     budget_ms: float | None = None
     node_budget: int | None = None
     random_order_seed: int | None = None
     trace: TraceFn | None = None
 
     def __post_init__(self):
-        if self.mode not in ("exact", "anytime"):
-            raise ValueError(f"unknown search mode {self.mode!r}")
         if self.budget_ms is not None and self.budget_ms <= 0:
             raise ValueError("budget_ms must be positive")
         if self.node_budget is not None and self.node_budget <= 0:
@@ -70,8 +85,6 @@ class SearchTreeSpec:
     """Shape of the search tree after depth reduction and level ordering."""
 
     level_positives: list[int]
-    branching: int
-    root_config: tuple[float, ...]
     root_covered: list[int] = field(default_factory=list)
 
 
@@ -100,7 +113,7 @@ def plan_tree(
     options: SearchOptions,
 ) -> SearchTreeSpec:
     """Fix the level order up front; the tree itself is traversed lazily."""
-    remaining, root = reduce_depth(problem, candidates)
+    remaining, _ = reduce_depth(problem, candidates)
     if options.enable_depth_reduction:
         levels = list(remaining)
         covered = [p for p in range(problem.num_positives) if p not in set(remaining)]
@@ -113,12 +126,7 @@ def plan_tree(
         levels.sort(key=lambda p: rank[p])
     elif options.random_order_seed is not None:
         random.Random(options.random_order_seed).shuffle(levels)
-    return SearchTreeSpec(
-        level_positives=levels,
-        branching=problem.num_classifiers,
-        root_config=root,
-        root_covered=covered,
-    )
+    return SearchTreeSpec(level_positives=levels, root_covered=covered)
 
 
 @dataclass
@@ -132,7 +140,15 @@ class _Frame:
     skipped: int | None = None  # positive index recorded on a pass-through
 
 
-def _solve(problem: Problem, options: SearchOptions) -> Solution:
+def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solution:
+    """Branch-and-bound search for a jointly optimal threshold configuration.
+
+    Optimal unless a budget in ``options`` fires first; then the best
+    incumbent is returned (feasible, since the first descent always
+    completes) with ``optimal`` False.
+    """
+    if options is None:
+        options = SearchOptions()
     t0 = time.perf_counter()
     candidates = extract_candidates(problem)
     state = CoverState(problem, candidates)
@@ -296,24 +312,10 @@ def _solve(problem: Problem, options: SearchOptions) -> Solution:
     )
 
 
-def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solution:
-    """Exhaustive branch-and-bound; optimal unless a budget fires first."""
-    if options is None:
-        options = SearchOptions()
-    options.mode = "exact"
-    return _solve(problem, options)
-
-
-def solve_anytime(problem: Problem, options: SearchOptions | None = None) -> Solution:
-    """Same traversal, returning the best incumbent when the budget expires.
-
-    The first descent always completes, so the result is feasible; with no
-    budget this degenerates to the exact search.
-    """
-    if options is None:
-        options = SearchOptions(mode="anytime")
-    options.mode = "anytime"
-    return _solve(problem, options)
+# A second name for the same search, kept because `calib solve --mode
+# anytime` and the perfbench trace look it up; a budget, not the entry
+# point, is what makes a run anytime.
+solve_anytime = solve_exact
 
 
 def redundant_classifiers(problem: Problem, solution: Solution) -> set[int]:

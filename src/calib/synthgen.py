@@ -35,7 +35,7 @@ pairs; block sizes are functions of the spec alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -192,16 +192,3 @@ def generate(spec: GenerateSpec) -> tuple[Problem, Problem]:
         metadata=dict(meta, split="test"),
     )
     return train, test
-
-
-def plant_hardness(spec: GenerateSpec, fraction: float | None = None) -> Problem:
-    """Training problem with between-cluster positives planted.
-
-    Equivalent to generate() with the given hardness fraction, keeping only
-    the training half.  Unplanted rows are bit-identical to the fraction-0
-    output because planted pairs are drawn last.
-    """
-    if fraction is not None:
-        spec = replace(spec, hardness_fraction=fraction)
-    train, _ = generate(spec)
-    return train

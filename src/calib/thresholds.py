@@ -28,16 +28,11 @@ from .problem import Problem
 class ClassifierCandidates:
     """Descending candidate thresholds for one classifier.
 
-    ``newly_covered_negatives[a]`` holds the negative indices with score in
-    the half-open interval (thresholds[a], thresholds[a-1]] (everything
-    above thresholds[0] for a = 0, which is always empty).  ``cumulative_fp``
-    is the running total: the false positives this classifier alone produces
-    at each candidate.
+    The first (tightest) candidate concedes no negative; each later one
+    concedes strictly more.
     """
 
     thresholds: tuple[float, ...]
-    newly_covered_negatives: tuple[frozenset[int], ...]
-    cumulative_fp: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.thresholds)
@@ -93,22 +88,7 @@ def _extract_one(pos: np.ndarray, neg: np.ndarray) -> ClassifierCandidates:
             thresholds.append(float(distinct[0]) - 1.0)
         elif has_neg[g - 1]:
             thresholds.append(float(distinct[g] + distinct[g - 1]) / 2.0)
-
-    # Negatives newly conceded in each half-open interval between candidates:
-    # in descending score order they form consecutive slices.
-    desc = np.argsort(-neg, kind="stable")
-    neg_sorted = np.sort(neg)
-    above = len(neg) - np.searchsorted(neg_sorted, np.array(thresholds), side="right")
-    newly: list[frozenset[int]] = []
-    prev = 0
-    for count in above:
-        newly.append(frozenset(int(n) for n in desc[prev:count]))
-        prev = int(count)
-    return ClassifierCandidates(
-        thresholds=tuple(thresholds),
-        newly_covered_negatives=tuple(newly),
-        cumulative_fp=tuple(int(c) for c in above),
-    )
+    return ClassifierCandidates(thresholds=tuple(thresholds))
 
 
 def extract_candidates(problem: Problem) -> CandidateThresholdSet:
@@ -118,21 +98,6 @@ def extract_candidates(problem: Problem) -> CandidateThresholdSet:
         for j in range(problem.num_classifiers)
     )
     return CandidateThresholdSet(per_classifier=per)
-
-
-def delta(problem: Problem, classifier: int, positive: int) -> int:
-    """False positives classifier ``classifier`` must concede to cover ``positive``.
-
-    Counts negatives scoring >= the positive's score: a tied negative is
-    necessarily covered whenever the positive is, because the threshold has
-    to sit strictly below the positive's score.
-    """
-    if not 0 <= classifier < problem.num_classifiers:
-        raise IndexError(f"classifier {classifier} out of range")
-    if not 0 <= positive < problem.num_positives:
-        raise IndexError(f"positive {positive} out of range")
-    s = problem.positive_scores[classifier, positive]
-    return int(np.count_nonzero(problem.negative_scores[classifier] >= s))
 
 
 @dataclass(frozen=True)
@@ -152,8 +117,10 @@ def difficulty_order(problem: Problem) -> DifficultyOrder:
     pos = problem.positive_scores  # (E, P)
     neg = problem.negative_scores  # (E, N)
     n = problem.num_negatives
-    # delta for every (classifier, positive) pair: negatives scoring >= the
-    # positive, counted against each classifier's sorted negative scores.
+    # For every (classifier, positive) pair, the false positives that
+    # classifier must concede to cover the positive: negatives scoring >= it,
+    # since a tied negative is covered whenever the positive is (the
+    # threshold sits strictly below the positive's score).
     counts = np.empty(pos.shape, dtype=np.int64)
     for j in range(problem.num_classifiers):
         neg_sorted = np.sort(neg[j])
@@ -161,23 +128,3 @@ def difficulty_order(problem: Problem) -> DifficultyOrder:
     diff = counts.min(axis=0)
     order = sorted(range(problem.num_positives), key=lambda i: (-diff[i], i))
     return DifficultyOrder(order=tuple(order), difficulty=tuple(int(d) for d in diff))
-
-
-def tighten_to_cover(
-    candidates: ClassifierCandidates, current: float, positive_score: float
-) -> float:
-    """Lowest adjustment of one threshold so the given positive is covered.
-
-    Returns the largest candidate strictly below ``positive_score`` if it is
-    lower than ``current``, else ``current`` unchanged (the constraint is
-    already satisfied).  Such a candidate always exists because the lowest
-    candidate sits below every positive's score.
-    """
-    if current < positive_score:
-        return current
-    for t in candidates.thresholds:
-        if t < positive_score:
-            return t
-    raise AssertionError(
-        "no candidate below a positive score; candidate extraction is broken"
-    )

@@ -123,14 +123,14 @@ def test_criterion_05_anytime_contract():
         train, _ = generate(spec)
         losses = []
         for budget in (10.0, 100.0, 1000.0):
-            sol = solve_anytime(train, SearchOptions(mode="anytime", budget_ms=budget))
+            sol = solve_anytime(train, SearchOptions(budget_ms=budget))
             hist = [loss for _, loss in sol.stats.incumbent_history]
             assert all(b < a for a, b in zip(hist, hist[1:]))
             losses.append(sol.loss)
         assert losses[0] >= losses[1] >= losses[2]
     for seed in range(10):
         prob = small_problem(seed)
-        unlimited = solve_anytime(prob, SearchOptions(mode="anytime"))
+        unlimited = solve_anytime(prob, SearchOptions())
         assert unlimited.loss == solve_exact(prob).loss
         assert unlimited.optimal
 
@@ -143,7 +143,7 @@ def test_criterion_06_every_solution_is_feasible_and_self_consistent():
         prob = small_problem(seed)
         if seed % 10 == 0:
             sol = solve_anytime(
-                prob, SearchOptions(mode="anytime", node_budget=1 + seed % 7)
+                prob, SearchOptions(node_budget=1 + seed % 7)
             )
         else:
             sol = solve_exact(prob)
@@ -235,7 +235,7 @@ def test_criterion_09_joint_calibration_beats_independent():
         )
         train, test = generate(spec)
         solution = solve_anytime(
-            train, SearchOptions(mode="anytime", budget_ms=5000.0)
+            train, SearchOptions(budget_ms=5000.0)
         )
         report = compare_methods(
             train,

@@ -20,7 +20,6 @@ from calib import (
     ThresholdConfig,
     UnknownClassifier,
     apply_map,
-    assignment_sets,
     calibrated_matrix,
     calibrated_score,
     ensemble_calibrated_score,
@@ -137,9 +136,10 @@ def test_sigmoid_cutoff_drops_low_samples():
 
 def test_joint_sigmoid_uses_assignment_sets(toy):
     sol = solve_exact(toy)
-    sets = assignment_sets(toy, sol)
-    assert sets.positive_sets == ((0, 1), ())
     model = fit_joint_sigmoid(toy, sol)
+    # classifier 0 covers both positives, so it is fitted on all its samples
+    alone = Problem(toy.positive_scores[:1], toy.negative_scores[:1])
+    assert model.maps[0] == fit_independent_sigmoid(alone, cutoff=-np.inf).maps[0]
     # classifier 1 covers no positive under the joint thresholds
     assert model.degenerate == (1,)
     assert model.maps[1].degenerate

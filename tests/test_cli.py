@@ -152,6 +152,34 @@ def test_missing_file_exits_2(tmp_path):
     assert res.returncode == 2
 
 
+def malformed_case(tmp_path, kind):
+    """argv reading one file of the given kind with a field of the wrong type."""
+    bad = tmp_path / f"bad_{kind}.json"
+    if kind == "problem":
+        doc = json.loads(GOLDEN.read_text())
+        doc["positive_ids"] = 5
+        argv = ["solve", str(bad), "--out", str(tmp_path / "s.json")]
+    elif kind == "solution":
+        doc = {"thresholds": list(GOLDEN_THRESHOLDS), "loss": GOLDEN_LOSS,
+               "assignment": [1, 0, 0], "optimal": True, "stats": [1]}
+        argv = ["calibrate", str(GOLDEN), "--method", "joint-thresholds",
+                "--solution", str(bad), "--out", str(tmp_path / "m.json")]
+    else:
+        doc = {"version": 1, "method": "affine", "num_classifiers": 2,
+               "classifiers": [5, {"kind": "affine", "a": 1.0, "b": 0.0}]}
+        argv = ["evaluate", str(bad), str(GOLDEN), "--metric", "ap"]
+    bad.write_text(json.dumps(doc))
+    return argv
+
+
+@pytest.mark.parametrize("kind", ["problem", "solution", "model"])
+def test_malformed_field_exits_2(tmp_path, kind):
+    res = run(*malformed_case(tmp_path, kind))
+    assert res.returncode == 2
+    assert "ParseError" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def solve_golden(tmp_path):
     sol = tmp_path / "sol.json"
     assert run("solve", str(GOLDEN), "--out", str(sol)).returncode == 0
@@ -159,7 +187,7 @@ def solve_golden(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "method", ["indep-sigmoid", "isotonic", "affine", "joint-sigmoid",
+    "method", ["independent-sigmoid", "isotonic", "affine", "joint-sigmoid",
                "joint-thresholds"]
 )
 def test_calibrate_all_methods(tmp_path, method):
@@ -258,6 +286,20 @@ def test_bench_writes_ablation_grid(tmp_path):
     curves = (tmp_path / "bench_incumbents.csv").read_text().splitlines()
     assert curves[0] == "config,seed,elapsed_ms,loss"
     assert len(curves) > 1
+
+
+@pytest.mark.parametrize("spec", [
+    {"seeds": [1], "ablations": [{"name": "typo", "enable_prune_bond": False}]},
+    {"seeds": [1], "classifers": 3},
+], ids=["unknown-ablation-flag", "unknown-key"])
+def test_bench_bad_spec_exits_2(tmp_path, spec):
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps(spec))
+    res = run("bench", str(path), "--out-dir", str(tmp_path))
+    assert res.returncode == 2
+    assert "InvalidSpec" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "bench_nodes.csv").exists()
 
 
 def test_quiet_log_level_suppresses_info(tmp_path):

@@ -134,9 +134,6 @@ def test_compare_methods_full_report():
         assert row.fp >= 0
         if row.method != "joint-thresholds":
             assert row.recall >= report.reference_recall
-        assert len(report.curves[row.method]) == (
-            test.num_positives + test.num_negatives
-        )
 
 
 def test_compare_methods_without_joint_needs_no_solve():

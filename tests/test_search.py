@@ -113,7 +113,7 @@ def test_assignment_points_at_covering_classifier():
 def test_node_budget_one_returns_first_descent_leaf():
     prob = small_problem(5)  # first-descent leaf is strictly suboptimal here
     exact = solve_exact(prob)
-    trunc = solve_anytime(prob, SearchOptions(mode="anytime", node_budget=1))
+    trunc = solve_anytime(prob, SearchOptions(node_budget=1))
     assert not trunc.optimal and not trunc.fallback
     assert trunc.loss == 9 and exact.loss == 8
     assert check_feasible(prob, trunc.config)
@@ -125,7 +125,7 @@ def test_node_budget_one_returns_first_descent_leaf():
 def test_node_budget_monotone():
     prob = small_problem(5)
     losses = [
-        solve_anytime(prob, SearchOptions(mode="anytime", node_budget=b)).loss
+        solve_anytime(prob, SearchOptions(node_budget=b)).loss
         for b in (1, 4, 16, 64, 10_000)
     ]
     assert losses == sorted(losses, reverse=True)
@@ -133,7 +133,7 @@ def test_node_budget_monotone():
 
 
 def test_wall_budget_expiry_falls_back_to_lowest(toy):
-    sol = solve_anytime(toy, SearchOptions(mode="anytime", budget_ms=1e-7))
+    sol = solve_anytime(toy, SearchOptions(budget_ms=1e-7))
     assert sol.fallback and not sol.optimal
     assert check_feasible(toy, sol.config)
     assert sol.loss == compute_loss(toy, sol.config)
@@ -167,8 +167,6 @@ def test_trace_callback_fires(toy):
 
 
 def test_options_validation():
-    with pytest.raises(ValueError):
-        SearchOptions(mode="fast")
     with pytest.raises(ValueError):
         SearchOptions(budget_ms=0)
     with pytest.raises(ValueError):

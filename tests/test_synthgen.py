@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from calib import CounterRng, GenerateSpec, InvalidSpec, generate, plant_hardness
+from calib import CounterRng, GenerateSpec, InvalidSpec, generate
 
 # Reference outputs of the SplitMix64 mix at counters 1..3.  Independently
 # derived from the published constants (gamma 0x9E3779B97F4A7C15, multipliers
@@ -103,7 +103,7 @@ def test_generate_seed_changes_output():
 
 def test_planting_touches_only_the_tail():
     plain, _ = generate(BASE)
-    planted = plant_hardness(BASE, fraction=0.5)
+    planted, _ = generate(replace(BASE, hardness_fraction=0.5))
     k = replace(BASE, hardness_fraction=0.5).planted_count()
     assert k == 3
     # untouched training positives are bit-identical: planted pairs draw last

@@ -9,14 +9,22 @@ from calib import (
     Problem,
     check_feasible,
     compute_loss,
-    delta,
     difficulty_order,
     extract_candidates,
     oracle_solve,
-    tighten_to_cover,
 )
 
 from conftest import dense_sweep_optimum, small_problem
+
+
+def conceded(problem, j, t):
+    """Negatives classifier j alone scores above threshold t."""
+    return np.flatnonzero(problem.negative_scores[j] > t).tolist()
+
+
+def single(problem, j):
+    """The sub-problem of classifier j alone."""
+    return Problem(problem.positive_scores[j: j + 1], problem.negative_scores[j: j + 1])
 
 
 # Hand-worked candidate sets for the 2x2 toy (see conftest.toy_two_by_two).
@@ -24,11 +32,9 @@ def test_toy_candidates_frozen(toy):
     cands = extract_candidates(toy)
     e0, e1 = cands[0], cands[1]
     assert e0.thresholds == (7.0, 3.5, 1.25)
-    assert e0.cumulative_fp == (0, 1, 2)
-    assert e0.newly_covered_negatives == (frozenset(), frozenset({0}), frozenset({1}))
+    assert [conceded(toy, 0, t) for t in e0.thresholds] == [[], [0], [0, 1]]
     assert e1.thresholds == (4.2, 2.75, -0.25)
-    assert e1.cumulative_fp == (0, 1, 2)
-    assert e1.newly_covered_negatives == (frozenset(), frozenset({2}), frozenset({0}))
+    assert [conceded(toy, 1, t) for t in e1.thresholds] == [[], [2], [0, 2]]
     assert cands.root_config() == (7.0, 4.2)
     assert cands.lowest_config() == (1.25, -0.25)
 
@@ -50,7 +56,7 @@ def test_sentinel_only_when_top_score_is_negative():
     q = Problem(np.array([[3.0]]), np.array([[6.0, 1.0]]))
     d = extract_candidates(q)[0]
     assert d.thresholds[0] == 7.0
-    assert d.cumulative_fp[0] == 0
+    assert conceded(q, 0, d.tightest) == []
 
 
 def test_floor_candidate_below_bottom_positive():
@@ -58,7 +64,7 @@ def test_floor_candidate_below_bottom_positive():
     c = extract_candidates(p)[0]
     # bottom distinct value is the positive 0.5: floor candidate at -0.5
     assert c.lowest == -0.5
-    assert c.cumulative_fp[-1] == 2
+    assert conceded(p, 0, c.lowest) == [0, 1]
 
 
 def test_tied_positive_negative_forces_coverage():
@@ -66,18 +72,16 @@ def test_tied_positive_negative_forces_coverage():
     p = Problem(np.array([[2.0]]), np.array([[2.0, 0.0]]))
     c = extract_candidates(p)[0]
     assert all(t < 2.0 for t in c.thresholds if check_feasible(p, [t]))
-    assert delta(p, 0, 0) == 1
+    assert difficulty_order(p).difficulty == (1,)
     best = oracle_solve(p)
     assert best.loss == 1
 
 
 def test_delta_toy(toy):
-    assert delta(toy, 0, 0) == 1  # e0 must concede 6.0 to cover the 5.0 positive
-    assert delta(toy, 1, 0) == 2
-    assert delta(toy, 0, 1) == 2
-    assert delta(toy, 1, 1) == 1
-    with pytest.raises(IndexError):
-        delta(toy, 2, 0)
+    # On one classifier alone, a positive's difficulty is that classifier's
+    # cost of covering it: e0 must concede 6.0 to cover the 5.0 positive.
+    assert difficulty_order(single(toy, 0)).difficulty == (1, 2)
+    assert difficulty_order(single(toy, 1)).difficulty == (2, 1)
 
 
 def test_difficulty_order_toy(toy):
@@ -95,16 +99,6 @@ def test_difficulty_order_decreasing():
         assert sorted(d.order) == list(range(prob.num_positives))
 
 
-def test_tighten_to_cover(toy):
-    c0 = extract_candidates(toy)[0]
-    # already covered: unchanged
-    assert tighten_to_cover(c0, 1.0, 1.5) == 1.0
-    # covering the 1.5 positive from the sentinel drops to 1.25
-    assert tighten_to_cover(c0, 7.0, 1.5) == 1.25
-    # covering the 5.0 positive only needs 3.5
-    assert tighten_to_cover(c0, 7.0, 5.0) == 3.5
-
-
 @pytest.mark.parametrize("seed", range(40))
 def test_candidate_structure_invariants(seed):
     prob = small_problem(seed)
@@ -114,19 +108,9 @@ def test_candidate_structure_invariants(seed):
         assert len(c) <= prob.num_positives + 1
         assert list(c.thresholds) == sorted(c.thresholds, reverse=True)
         # the tightest candidate concedes nothing; later ones concede more
-        assert c.cumulative_fp[0] == 0
-        assert all(b > a for a, b in zip(c.cumulative_fp, c.cumulative_fp[1:]))
-        assert c.newly_covered_negatives[0] == frozenset()
-        # newly sets are disjoint and their sizes telescope into cumulative_fp
-        seen: set[int] = set()
-        for a, newly in enumerate(c.newly_covered_negatives):
-            assert not (newly & seen)
-            seen |= newly
-            assert len(seen) == c.cumulative_fp[a]
-        # exactness: conceded negatives at each candidate match a direct count
-        neg = prob.negative_scores[j]
-        for t, fp in zip(c.thresholds, c.cumulative_fp):
-            assert int((neg > t).sum()) == fp
+        fp = [int((prob.negative_scores[j] > t).sum()) for t in c.thresholds]
+        assert fp[0] == 0
+        assert all(b > a for a, b in zip(fp, fp[1:]))
         # every positive has a candidate strictly below its score
         for s in prob.positive_scores[j]:
             assert c.lowest < s
