@@ -51,6 +51,7 @@ from .evaluation import (
     MethodRow,
     average_precision,
     compare_methods,
+    fit_method,
     fp_at_recall,
     pr_curve,
     recall_at_thresholds,
@@ -76,7 +77,6 @@ from .search import (
     SearchTreeSpec,
     plan_tree,
     redundant_classifiers,
-    reduce_depth,
     solve_anytime,
     solve_exact,
 )

@@ -17,18 +17,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .calibrators import (
-    METHODS,
-    fit_affine,
-    fit_independent_sigmoid,
-    fit_isotonic,
-    fit_joint_sigmoid,
-    fit_joint_thresholds,
-    load_model,
-    save_model,
-)
+from .calibrators import AFFINE_SAMPLE_COUNT, METHODS, load_model, save_model
 from .errors import CalibError, InvalidSpec, TooLarge
-from .evaluation import average_precision, fp_at_recall, pr_curve
+from .evaluation import average_precision, fit_method, fp_at_recall, pr_curve
 from .oracle import oracle_solve
 from .problem import (
     _read_json,
@@ -125,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     calibrate.add_argument("--method", required=True, choices=METHODS)
     calibrate.add_argument("--solution", help="solution file for joint methods")
     calibrate.add_argument("--cutoff", type=float, default=-1.0)
-    calibrate.add_argument("--sample-count", type=int, default=200_000)
+    calibrate.add_argument("--sample-count", type=int, default=AFFINE_SAMPLE_COUNT)
     calibrate.add_argument("--seed", type=int, default=0)
     calibrate.add_argument("--out", required=True)
 
@@ -173,16 +164,19 @@ def _cmd_solve(args) -> int:
         def trace(ms, nodes, loss):
             print(f"incumbent ms={ms:.3f} nodes={nodes} loss={loss}",
                   file=sys.stderr)
-    options = SearchOptions(
-        enable_prune_bound=not args.no_prune_bound,
-        enable_prune_equivalence=not args.no_prune_equiv,
-        enable_depth_reduction=not args.no_depth_reduce,
-        enable_difficulty_order=not args.random_order,
-        budget_ms=args.budget_ms,
-        node_budget=args.node_budget,
-        random_order_seed=args.order_seed if args.random_order else None,
-        trace=trace,
-    )
+    try:
+        options = SearchOptions(
+            enable_prune_bound=not args.no_prune_bound,
+            enable_prune_equivalence=not args.no_prune_equiv,
+            enable_depth_reduction=not args.no_depth_reduce,
+            enable_difficulty_order=not args.random_order,
+            budget_ms=args.budget_ms,
+            node_budget=args.node_budget,
+            random_order_seed=args.order_seed if args.random_order else None,
+            trace=trace,
+        )
+    except ValueError as e:
+        raise InvalidSpec(str(e)) from e
     # Both names are the same search (see search.solve_anytime).
     solver = solve_exact if args.mode == "exact" else solve_anytime
     solution = solver(problem, options)
@@ -227,16 +221,8 @@ def _cmd_calibrate(args) -> int:
                   "--solution", file=sys.stderr)
             return EXIT_USAGE
         solution = load_solution(args.solution)
-    if args.method == "independent-sigmoid":
-        model = fit_independent_sigmoid(problem, cutoff=args.cutoff)
-    elif args.method == "joint-sigmoid":
-        model = fit_joint_sigmoid(problem, solution)
-    elif args.method == "isotonic":
-        model = fit_isotonic(problem)
-    elif args.method == "affine":
-        model = fit_affine(problem, sample_count=args.sample_count, seed=args.seed)
-    else:
-        model = fit_joint_thresholds(problem, solution)
+    model = fit_method(args.method, problem, solution, cutoff=args.cutoff,
+                       sample_count=args.sample_count, seed=args.seed)
     save_model(model, args.out)
     if model.degenerate:
         log.info("degenerate classifiers: %s",

@@ -1,11 +1,16 @@
 """Incremental false-positive bookkeeping for the tree search.
 
-A CoverState tracks, per sample, how many classifiers currently score it
+A CoverState tracks, per negative, how many classifiers currently score it
 positively, as thresholds are lowered edge by edge and restored on
 backtrack.  Counts (not booleans) make undo O(touched) without rescanning
-other classifiers.  Negatives and positives are pre-sorted by score once
-per classifier, so the samples swept by one edge form a contiguous slice
-and all per-edge work is vectorized over it.
+other classifiers.  Negatives are pre-sorted by score once per classifier,
+so the negatives swept by one edge form a contiguous slice and all per-edge
+work is vectorized over it.
+
+Positives need no counters: positive p is covered exactly when some
+classifier j has reached candidate position ``cover_position[j, p]``, the
+first candidate strictly below p's score, so coverage is read off the
+current positions.
 """
 
 from __future__ import annotations
@@ -32,46 +37,46 @@ class CoverState:
         self.candidates = candidates
         E = problem.num_classifiers
 
-        # Per classifier: sample indices sorted by score descending, plus for
-        # every candidate position the count of samples scoring above it.
-        # Candidates never equal any score, so prefix counts cut cleanly.
+        # Per classifier: negative indices sorted by score descending, plus
+        # for every candidate position the count of negatives scoring above
+        # it.  Candidates never equal any score, so prefix counts cut cleanly.
         self._neg_order: list[np.ndarray] = []
-        self._pos_order: list[np.ndarray] = []
         self._neg_prefix: list[np.ndarray] = []
-        self._pos_prefix: list[np.ndarray] = []
-        self.cover_position: list[np.ndarray] = []
+        self.cover_position = np.empty((E, problem.num_positives), dtype=np.intp)
         for j in range(E):
             neg = problem.negative_scores[j]
-            pos = problem.positive_scores[j]
             cand = np.array(candidates[j].thresholds)
             self._neg_order.append(np.argsort(-neg, kind="stable"))
-            self._pos_order.append(np.argsort(-pos, kind="stable"))
-            neg_sorted = np.sort(neg)
-            pos_sorted = np.sort(pos)
             self._neg_prefix.append(
-                len(neg) - np.searchsorted(neg_sorted, cand, side="right")
-            )
-            self._pos_prefix.append(
-                len(pos) - np.searchsorted(pos_sorted, cand, side="right")
+                len(neg) - np.searchsorted(np.sort(neg), cand, side="right")
             )
             assert self._neg_prefix[j][0] == 0, "tightest candidate must cost nothing"
             # Earliest candidate position strictly below each positive's
             # score; exists for every positive by construction.
+            pos = problem.positive_scores[j]
             count_below = np.searchsorted(cand[::-1], pos, side="left")
             assert (count_below > 0).all(), "positive with no candidate below it"
-            self.cover_position.append(len(cand) - count_below)
+            self.cover_position[j] = len(cand) - count_below
 
-        self.positions = [0] * E
+        self.positions = np.zeros(E, dtype=np.intp)
         self.neg_count = np.zeros(problem.num_negatives, dtype=np.int32)
-        self.pos_count = np.zeros(problem.num_positives, dtype=np.int32)
         self.fp_count = 0
-        self.journal: list[tuple[int, int, np.ndarray]] = []
-        for j in range(E):
-            self.pos_count[self._pos_order[j][: self._pos_prefix[j][0]]] += 1
+        self.journal: list[tuple[int, int, int]] = []  # (classifier, old, inc)
 
     def _neg_slice(self, classifier: int, lo: int, hi: int) -> np.ndarray:
         prefix = self._neg_prefix[classifier]
         return self._neg_order[classifier][prefix[lo]: prefix[hi]]
+
+    def _sweep(self, classifier: int, target: int) -> tuple[int, np.ndarray, np.ndarray]:
+        """Current position, negatives an edge sweeps, and which are uncovered."""
+        cur = int(self.positions[classifier])
+        if target < cur:
+            raise MonotonicityViolation(
+                f"classifier {classifier}: target position {target} is tighter "
+                f"than current {cur}"
+            )
+        sl = self._neg_slice(classifier, cur, target)
+        return cur, sl, self.neg_count[sl] == 0
 
     def peek_edge(self, classifier: int, target: int) -> tuple[int, np.ndarray]:
         """Loss increase and newly covered negatives of an edge, unapplied.
@@ -79,68 +84,47 @@ class CoverState:
         The returned indices are sorted ascending, so equal sets compare
         equal elementwise (and byte-wise).
         """
-        cur = self.positions[classifier]
-        if target < cur:
-            raise MonotonicityViolation(
-                f"classifier {classifier}: target position {target} is tighter "
-                f"than current {cur}"
-            )
-        sl = self._neg_slice(classifier, cur, target)
-        newly = np.sort(sl[self.neg_count[sl] == 0])
+        _, sl, fresh = self._sweep(classifier, target)
+        newly = np.sort(sl[fresh])
         return len(newly), newly
 
-    def apply_edge(self, classifier: int, target: int) -> tuple[int, np.ndarray]:
+    def apply_edge(self, classifier: int, target: int) -> int:
         """Lower one classifier's threshold to a candidate position.
 
-        Returns the new total false-positive count and the (ascending)
-        negatives whose coverage count rose from zero.  Raises
+        Returns the new total false-positive count.  Raises
         MonotonicityViolation if the target is tighter than the current
         position; a no-op edge (target == current) is journaled like any
         other.
         """
-        cur = self.positions[classifier]
-        if target < cur:
-            raise MonotonicityViolation(
-                f"classifier {classifier}: target position {target} is tighter "
-                f"than current {cur}"
-            )
-        sl = self._neg_slice(classifier, cur, target)
-        newly = np.sort(sl[self.neg_count[sl] == 0])
+        cur, sl, fresh = self._sweep(classifier, target)
+        inc = int(np.count_nonzero(fresh))
         self.neg_count[sl] += 1
-        self.fp_count += len(newly)
-        pos_prefix = self._pos_prefix[classifier]
-        psl = self._pos_order[classifier][pos_prefix[cur]: pos_prefix[target]]
-        self.pos_count[psl] += 1
-        self.journal.append((classifier, cur, newly))
+        self.fp_count += inc
+        self.journal.append((classifier, cur, inc))
         self.positions[classifier] = target
-        return self.fp_count, newly
+        return self.fp_count
 
     def undo_edge(self) -> None:
         """Exact inverse of the most recent apply_edge."""
         if not self.journal:
             raise EmptyJournal("undo with no pending apply")
-        classifier, old, newly = self.journal.pop()
-        cur = self.positions[classifier]
-        sl = self._neg_slice(classifier, old, cur)
+        classifier, old, inc = self.journal.pop()
+        sl = self._neg_slice(classifier, old, self.positions[classifier])
         self.neg_count[sl] -= 1
-        dropped = int((self.neg_count[sl] == 0).sum())
+        dropped = int(np.count_nonzero(self.neg_count[sl] == 0))
         self.fp_count -= dropped
-        assert dropped == len(newly), "undo does not mirror its apply"
-        pos_prefix = self._pos_prefix[classifier]
-        psl = self._pos_order[classifier][pos_prefix[old]: pos_prefix[cur]]
-        self.pos_count[psl] -= 1
+        assert dropped == inc, "undo does not mirror its apply"
         self.positions[classifier] = old
 
     def is_positive_covered(self, positive: int) -> bool:
-        return bool(self.pos_count[positive] > 0)
+        return bool((self.positions >= self.cover_position[:, positive]).any())
 
     def covering_classifier(self, positive: int) -> int:
         """Smallest classifier index currently covering the given positive."""
-        s = self.problem.positive_scores[:, positive]
-        for j in range(self.problem.num_classifiers):
-            if s[j] > self.candidates[j].thresholds[self.positions[j]]:
-                return j
-        raise ValueError(f"positive {positive} is not covered")
+        covering = np.flatnonzero(self.positions >= self.cover_position[:, positive])
+        if not covering.size:
+            raise ValueError(f"positive {positive} is not covered")
+        return int(covering[0])
 
     def config(self) -> tuple[float, ...]:
         """Threshold values of the current candidate positions."""

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibrators import (
+    AFFINE_SAMPLE_COUNT,
     CalibrationModel,
     ensemble_scores,
     fit_affine,
@@ -151,20 +152,31 @@ class ComparisonReport:
     solution: Solution | None = None
 
 
-def _fit_method(
+def fit_method(
     method: str,
     train: Problem,
-    solution: Solution | None,
-    affine_seed: int,
+    solution: Solution | None = None,
+    *,
+    cutoff: float = -1.0,
+    sample_count: int = AFFINE_SAMPLE_COUNT,
+    seed: int = 0,
 ) -> CalibrationModel:
+    """Fit one of calibrators.METHODS on train.
+
+    The joint methods need a solution of train.  cutoff applies to
+    independent-sigmoid, sample_count and seed to affine.  Each fit_* is
+    called through this module's name for it, so a wrapper installed there
+    sees every fit.
+    """
     if method == "independent-sigmoid":
-        return fit_independent_sigmoid(train)
+        return fit_independent_sigmoid(train, cutoff=cutoff)
     if method == "isotonic":
         return fit_isotonic(train)
     if method == "affine":
-        return fit_affine(train, seed=affine_seed)
+        return fit_affine(train, sample_count=sample_count, seed=seed)
     if method in ("joint-sigmoid", "joint-thresholds"):
-        assert solution is not None
+        if solution is None:
+            raise ValidationError(f"method {method!r} needs a solution")
         if method == "joint-sigmoid":
             return fit_joint_sigmoid(train, solution)
         return fit_joint_thresholds(train, solution)
@@ -206,7 +218,7 @@ def compare_methods(
 
     report = ComparisonReport(reference_recall=reference, solution=solution)
     for method in methods:
-        model = _fit_method(method, train, solution, affine_seed)
+        model = fit_method(method, train, solution, seed=affine_seed)
         point = fp_at_recall(test, model, reference)
         ap = average_precision(test, model)
         report.rows.append(

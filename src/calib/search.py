@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 from .cover import CoverState
 from .errors import InfeasibleSolution
@@ -25,14 +25,13 @@ from .problem import (
     ThresholdConfig,
     check_feasible,
     compute_loss,
+    derive_assignment,
 )
-from .thresholds import (
-    CandidateThresholdSet,
-    difficulty_order,
-    extract_candidates,
-)
+from .thresholds import difficulty_order, extract_candidates
 
 TraceFn = Callable[[float, int, int], None]
+
+_EXHAUSTED = object()  # next() default: a node iterator has no child left
 
 PRUNING_FLAGS = (
     "enable_prune_bound",
@@ -74,9 +73,10 @@ class SearchOptions:
     trace: TraceFn | None = None
 
     def __post_init__(self):
-        if self.budget_ms is not None and self.budget_ms <= 0:
+        # `not x > 0` also rejects NaN.
+        if self.budget_ms is not None and not self.budget_ms > 0:
             raise ValueError("budget_ms must be positive")
-        if self.node_budget is not None and self.node_budget <= 0:
+        if self.node_budget is not None and not self.node_budget > 0:
             raise ValueError("node_budget must be positive")
 
 
@@ -88,56 +88,26 @@ class SearchTreeSpec:
     root_covered: list[int] = field(default_factory=list)
 
 
-def reduce_depth(
-    problem: Problem, candidates: CandidateThresholdSet
-) -> tuple[list[int], tuple[float, ...]]:
-    """Positives still uncovered at the all-tightest root, and that root.
+def plan_tree(problem: Problem, options: SearchOptions) -> SearchTreeSpec:
+    """Fix the level order up front; the tree itself is traversed lazily.
 
-    Any positive whose score lands above some classifier's tightest
-    candidate (a sentinel above every sample of that classifier never
-    covers anything) stays covered under every descendant configuration,
-    so its level can be dropped from the tree outright.
+    Depth reduction drops the positives of difficulty 0: some classifier's
+    tightest candidate, which concedes no negative, already covers them, so
+    they stay covered under every descendant configuration.
     """
-    root = candidates.root_config()
-    remaining = []
-    for p in range(problem.num_positives):
-        s = problem.positive_scores[:, p]
-        if not any(s[j] > root[j] for j in range(problem.num_classifiers)):
-            remaining.append(p)
-    return remaining, root
-
-
-def plan_tree(
-    problem: Problem,
-    candidates: CandidateThresholdSet,
-    options: SearchOptions,
-) -> SearchTreeSpec:
-    """Fix the level order up front; the tree itself is traversed lazily."""
-    remaining, _ = reduce_depth(problem, candidates)
-    if options.enable_depth_reduction:
-        levels = list(remaining)
-        covered = [p for p in range(problem.num_positives) if p not in set(remaining)]
-    else:
-        levels = list(range(problem.num_positives))
-        covered = []
-    if options.enable_difficulty_order:
+    levels = list(range(problem.num_positives))
+    covered: list[int] = []
+    if options.enable_depth_reduction or options.enable_difficulty_order:
         order = difficulty_order(problem)
-        rank = {p: i for i, p in enumerate(order.order)}
-        levels.sort(key=lambda p: rank[p])
+    if options.enable_depth_reduction:
+        covered = [p for p in levels if order.difficulty[p] == 0]
+        levels = [p for p in levels if order.difficulty[p] > 0]
+    if options.enable_difficulty_order:
+        remaining = set(levels)
+        levels = [p for p in order.order if p in remaining]
     elif options.random_order_seed is not None:
         random.Random(options.random_order_seed).shuffle(levels)
     return SearchTreeSpec(level_positives=levels, root_covered=covered)
-
-
-@dataclass
-class _Frame:
-    """One node on the explicit DFS stack."""
-
-    depth: int
-    children: list[tuple[int, int, int]]  # (incremental loss, classifier, target)
-    cursor: int = 0
-    applied: bool = False  # entering this node consumed an apply_edge
-    skipped: int | None = None  # positive index recorded on a pass-through
 
 
 def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solution:
@@ -152,7 +122,7 @@ def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solut
     t0 = time.perf_counter()
     candidates = extract_candidates(problem)
     state = CoverState(problem, candidates)
-    tree = plan_tree(problem, candidates, options)
+    tree = plan_tree(problem, options)
     levels = tree.level_positives
     h = len(levels)
     E = problem.num_classifiers
@@ -160,6 +130,7 @@ def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solut
     stats = SearchStats(levels=h)
     stats.positives_removed_by_root = len(tree.root_covered)
 
+    # Each leaf copies this list; every level on its path was just written.
     assignment: list[int | str | None] = [None] * problem.num_positives
     for p in tree.root_covered:
         assignment[p] = ROOT_COVERED
@@ -167,7 +138,6 @@ def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solut
     best_loss: int | None = None
     best_config: tuple[float, ...] | None = None
     best_assignment: list[int | str] | None = None
-    truncated = False
 
     def elapsed_ms() -> float:
         return (time.perf_counter() - t0) * 1000.0
@@ -183,73 +153,39 @@ def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solut
             return True
         return False
 
-    def plan_children(depth: int) -> _Frame:
-        p = levels[depth]
-        if state.is_positive_covered(p):
-            return _Frame(depth=depth, children=[], skipped=p)
+    def plan_children(p: int) -> list[tuple[int, int, int]]:
+        """(incremental loss, classifier, target) per child, in (inc, j) order."""
         kids = []
         for j in range(E):
-            target = int(state.cover_position[j][p])
+            target = int(state.cover_position[j, p])
             inc, newly = state.peek_edge(j, target)
             kids.append((inc, j, target, newly))
         kids.sort(key=lambda c: (c[0], c[1]))
-        chosen: list[tuple[int, int, int]] = []
-        if options.enable_prune_equivalence:
-            # newly is sorted, so byte equality is exact set equality.
-            seen: set[bytes] = set()
-            for inc, j, target, newly in kids:
+        children: list[tuple[int, int, int]] = []
+        seen: set[bytes] = set()
+        for inc, j, target, newly in kids:
+            if options.enable_prune_equivalence:
+                # newly is sorted, so byte equality is exact set equality.
                 key = newly.tobytes()
                 if key in seen:
                     stats.nodes_pruned_equivalence += 1
                     continue
                 seen.add(key)
-                chosen.append((inc, j, target))
-        else:
-            chosen = [(inc, j, target) for inc, j, target, _ in kids]
-        return _Frame(depth=depth, children=chosen)
+            children.append((inc, j, target))
+        return children
 
-    def enter(depth: int, applied: bool) -> _Frame | None:
-        """Count a node visit; returns a frame to push, or None at a leaf."""
-        nonlocal best_loss, best_config, best_assignment, truncated
-        stats.nodes_visited += 1
-        if over_budget():
-            truncated = True
-            return None
-        if depth == h:
-            loss = state.fp_count
-            if best_loss is None or loss < best_loss:
-                best_loss = loss
-                best_config = state.config()
-                best_assignment = list(assignment)  # type: ignore[arg-type]
-                stats.incumbent_history.append((elapsed_ms(), loss))
-                if options.trace is not None:
-                    options.trace(elapsed_ms(), stats.nodes_visited, loss)
-            return None
-        frame = plan_children(depth)
-        frame.applied = applied
-        if frame.skipped is not None:
-            assignment[frame.skipped] = state.covering_classifier(frame.skipped)
-        return frame
-
-    stack: list[_Frame] = []
-    frame = enter(0, applied=False)
-    if frame is not None:
-        stack.append(frame)
-    while stack:
-        frame = stack[-1]
-        if truncated:
-            frame.cursor = len(frame.children)
-        if frame.skipped is not None and frame.cursor == 0 and not truncated:
+    def expand(depth: int) -> Iterator[None]:
+        """Yield once per child entered, with the child's edge applied."""
+        p = levels[depth]
+        if state.is_positive_covered(p):
             # Pass-through node: the level's positive is already covered.
-            frame.cursor = 1
-            child = enter(frame.depth + 1, applied=False)
-            if child is not None:
-                stack.append(child)
-            continue
-        advanced = False
-        while frame.cursor < len(frame.children):
-            inc, j, target = frame.children[frame.cursor]
-            frame.cursor += 1
+            assignment[p] = state.covering_classifier(p)
+            yield
+            return
+        # Planned in full before the first child is entered: a budget firing
+        # below still counts every equivalence prune, and the suspended node
+        # holds only these tuples, not its children's negative sets.
+        for inc, j, target in plan_children(p):
             if (
                 options.enable_prune_bound
                 and best_loss is not None
@@ -258,43 +194,47 @@ def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solut
                 stats.nodes_pruned_bound += 1
                 continue
             state.apply_edge(j, target)
-            assignment[levels[frame.depth]] = j
-            child = enter(frame.depth + 1, applied=True)
-            if child is not None:
-                stack.append(child)
-            else:
-                state.undo_edge()
-                assignment[levels[frame.depth]] = None
-                if truncated:
-                    break
-                continue
-            advanced = True
-            break
-        if advanced:
-            continue
-        # Frame exhausted: unwind.
-        stack.pop()
-        if frame.skipped is not None:
-            assignment[frame.skipped] = None
-        if frame.applied:
+            assignment[p] = j
+            yield
             state.undo_edge()
-            parent = stack[-1]
-            assignment[levels[parent.depth]] = None
+
+    def enter(depth: int) -> bool:
+        """Visit a node; False once a budget has fired."""
+        nonlocal best_loss, best_config, best_assignment
+        stats.nodes_visited += 1
+        if over_budget():
+            return False
+        if depth < h:
+            stack.append(expand(depth))
+        elif best_loss is None or state.fp_count < best_loss:
+            best_loss = state.fp_count
+            best_config = state.config()
+            best_assignment = list(assignment)  # type: ignore[arg-type]
+            stats.incumbent_history.append((elapsed_ms(), best_loss))
+            if options.trace is not None:
+                options.trace(elapsed_ms(), stats.nodes_visited, best_loss)
+        return True
+
+    # Depth-first: the top iterator either enters its next child, one level
+    # below it, or is exhausted and popped.  The stack is explicit, so tree
+    # depth is not bounded by Python's recursion limit.
+    stack: list[Iterator[None]] = []
+    within_budget = enter(0)
+    while within_budget and stack:
+        if next(stack[-1], _EXHAUSTED) is _EXHAUSTED:
+            stack.pop()
+        else:
+            within_budget = enter(len(stack))
 
     stats.wall_time_ms = elapsed_ms()
     if best_loss is None:
         # Budget too small even for the first descent: fall back to the
         # always-feasible all-lowest configuration.
         config = candidates.lowest_config()
-        loss = compute_loss(problem, config)
-        fb_assignment: list[int | str] = []
-        for p in range(problem.num_positives):
-            s = problem.positive_scores[:, p]
-            fb_assignment.append(next(j for j in range(E) if s[j] > config[j]))
         return Solution(
             config=ThresholdConfig(config),
-            loss=loss,
-            assignment=fb_assignment,
+            loss=compute_loss(problem, config),
+            assignment=derive_assignment(problem, config),
             optimal=False,
             stats=stats,
             fallback=True,
@@ -306,7 +246,7 @@ def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solut
         config=ThresholdConfig(best_config),
         loss=best_loss,
         assignment=best_assignment,
-        optimal=not truncated,
+        optimal=within_budget,
         stats=stats,
         fallback=False,
     )

@@ -107,6 +107,11 @@ class GenerateSpec:
     hardness_scale: float = 0.55
 
     def __post_init__(self):
+        for name in ("seed", "num_classifiers", "num_positives", "num_negatives",
+                     "dimensions"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise InvalidSpec(f"{name} must be an integer, got {value!r}")
         if self.num_classifiers < 1:
             raise InvalidSpec("num_classifiers must be >= 1")
         if self.num_positives < 1:

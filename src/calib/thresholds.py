@@ -58,10 +58,6 @@ class CandidateThresholdSet:
     def __len__(self) -> int:
         return len(self.per_classifier)
 
-    def root_config(self) -> tuple[float, ...]:
-        """The all-tightest configuration (zero false positives)."""
-        return tuple(c.tightest for c in self.per_classifier)
-
     def lowest_config(self) -> tuple[float, ...]:
         """The all-lowest configuration, feasible by construction."""
         return tuple(c.lowest for c in self.per_classifier)

@@ -125,6 +125,21 @@ def test_solve_ablation_flags_preserve_loss(tmp_path):
     assert outs == [GOLDEN_LOSS] * 3
 
 
+@pytest.mark.parametrize("budget", [
+    ("--budget-ms", "0"),
+    ("--budget-ms", "-5"),
+    ("--budget-ms", "nan"),
+    ("--node-budget", "0"),
+], ids=["zero-ms", "negative-ms", "nan-ms", "zero-nodes"])
+def test_solve_bad_budget_exits_2(tmp_path, budget):
+    out = tmp_path / "sol.json"
+    res = run("solve", str(GOLDEN), *budget, "--out", str(out))
+    assert res.returncode == 2
+    assert "InvalidSpec" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not out.exists()
+
+
 def test_oracle_golden(tmp_path):
     out = tmp_path / "oracle_sol.json"
     res = run("oracle", str(GOLDEN), "--out", str(out))
@@ -291,7 +306,12 @@ def test_bench_writes_ablation_grid(tmp_path):
 @pytest.mark.parametrize("spec", [
     {"seeds": [1], "ablations": [{"name": "typo", "enable_prune_bond": False}]},
     {"seeds": [1], "classifers": 3},
-], ids=["unknown-ablation-flag", "unknown-key"])
+    {"seeds": ["a"]},
+    {"seeds": [1.5]},
+    {"seeds": [True]},
+    {"seeds": [1], "classifiers": 2.5},
+], ids=["unknown-ablation-flag", "unknown-key", "string-seed", "float-seed",
+        "bool-seed", "float-size"])
 def test_bench_bad_spec_exits_2(tmp_path, spec):
     path = tmp_path / "bench.json"
     path.write_text(json.dumps(spec))

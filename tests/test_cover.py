@@ -24,8 +24,10 @@ def make_state(problem):
 def test_root_state_toy(toy):
     st = make_state(toy)
     assert st.fp_count == 0
-    assert not (st.pos_count > 0).any()  # sentinels cover nothing in this toy
+    # sentinels cover nothing in this toy
+    assert not any(st.is_positive_covered(p) for p in range(toy.num_positives))
     assert st.config() == (7.0, 4.2)
+    assert st.positions.tolist() == [0, 0]
     assert not (st.neg_count > 0).any()
 
 
@@ -34,15 +36,18 @@ def test_apply_undo_single_edge(toy):
     peek_inc, peek_newly = st.peek_edge(0, 2)
     assert peek_inc == 2 and peek_newly.tolist() == [0, 1]
     assert st.fp_count == 0  # peek does not mutate
-    fp, newly = st.apply_edge(0, 2)
-    assert fp == 2 and newly.tolist() == [0, 1]
-    assert (st.pos_count > 0).sum() == 2
+    assert st.apply_edge(0, 2) == 2
+    assert np.flatnonzero(st.neg_count > 0).tolist() == [0, 1]
+    assert st.positions.tolist() == [2, 0]
     assert st.is_positive_covered(0) and st.is_positive_covered(1)
-    assert st.covering_classifier(0) == 0
+    assert st.covering_classifier(0) == st.covering_classifier(1) == 0
     st.assert_consistent()
     st.undo_edge()
-    assert st.fp_count == 0 and not (st.pos_count > 0).any()
-    assert st.positions == [0, 0]
+    assert st.fp_count == 0
+    assert not st.is_positive_covered(0) and not st.is_positive_covered(1)
+    with pytest.raises(ValueError):
+        st.covering_classifier(0)
+    assert st.positions.tolist() == [0, 0]
     st.assert_consistent()
 
 
@@ -53,10 +58,9 @@ def test_shared_negative_counted_once():
         negative_scores=np.array([[2.0], [2.0]]),
     )
     st = make_state(p)
-    st.apply_edge(0, 1)
-    assert st.fp_count == 1
-    fp, newly = st.apply_edge(1, 1)
-    assert fp == 1 and newly.size == 0  # second cover of negative 0 is free
+    assert st.apply_edge(0, 1) == 1
+    assert st.apply_edge(1, 1) == 1  # second cover of negative 0 is free
+    assert st.neg_count.tolist() == [2]
     st.undo_edge()
     assert st.fp_count == 1
     st.undo_edge()
@@ -92,22 +96,22 @@ def test_monotonicity_and_empty_journal(toy):
 
 def test_noop_edge_is_journaled(toy):
     st = make_state(toy)
-    st.apply_edge(1, 1)
-    fp, newly = st.apply_edge(1, 1)  # target == current
-    assert newly.size == 0 and fp == st.fp_count
+    before = st.apply_edge(1, 1)
+    assert st.apply_edge(1, 1) == before  # target == current
+    assert len(st.journal) == 2
     st.undo_edge()
     st.undo_edge()
-    assert st.positions == [0, 0] and st.fp_count == 0
+    assert st.positions.tolist() == [0, 0] and st.fp_count == 0
 
 
 @pytest.mark.parametrize("seed", range(25))
 def test_random_walk_apply_undo_round_trip(seed):
     """Random monotone walks: incremental state tracks batch recomputation,
-    and a full unwind restores the root exactly."""
+    positive coverage matches the thresholds, and a full unwind restores the
+    root exactly."""
     prob = small_problem(seed)
     st = make_state(prob)
     root_neg = st.neg_count.copy()
-    root_pos = st.pos_count.copy()
     rng = random.Random(seed * 7 + 1)
     steps = 0
     for _ in range(30):
@@ -120,19 +124,24 @@ def test_random_walk_apply_undo_round_trip(seed):
             continue
         target = rng.randint(cur, hi)
         inc, newly = st.peek_edge(j, target)
-        fp, applied = st.apply_edge(j, target)
+        before_fp = st.fp_count
+        before_neg = st.neg_count > 0
+        fp = st.apply_edge(j, target)
         # peek promised exactly what apply delivered
-        assert np.array_equal(newly, applied)
-        assert inc == len(applied)
+        assert fp - before_fp == inc == len(newly)
+        now_neg = st.neg_count > 0
+        assert np.flatnonzero(now_neg & ~before_neg).tolist() == newly.tolist()
         assert fp == compute_loss(prob, st.config())
-        assert list(applied) == sorted(applied)
+        assert list(newly) == sorted(newly)
+        theta = np.array(st.config())[:, None]
+        covered = (prob.positive_scores > theta).any(axis=0).tolist()
+        assert [st.is_positive_covered(p) for p in range(prob.num_positives)] == covered
         steps += 1
         if steps % 7 == 0:
             st.assert_consistent()
     while st.journal:
         st.undo_edge()
-    assert st.positions == [0] * prob.num_classifiers
+    assert st.positions.tolist() == [0] * prob.num_classifiers
     assert st.fp_count == 0 or st.fp_count == int((root_neg > 0).sum())
     assert np.array_equal(st.neg_count, root_neg)
-    assert np.array_equal(st.pos_count, root_pos)
     st.assert_consistent()

@@ -12,13 +12,17 @@ from calib import (
     ValidationError,
     average_precision,
     compare_methods,
+    fit_affine,
+    fit_independent_sigmoid,
     fit_joint_thresholds,
+    fit_method,
     fp_at_recall,
     generate,
     pr_curve,
     recall_at_thresholds,
     solve_exact,
 )
+from calib.calibrators import METHODS
 
 
 def identity_model(num_classifiers=1):
@@ -155,3 +159,22 @@ def test_compare_methods_unknown_method():
     train, test = comparison_instance()
     with pytest.raises(ValidationError):
         compare_methods(train, test, ["platt-scaling"])
+
+
+def test_fit_method_dispatch():
+    train, _ = comparison_instance()
+    solution = solve_exact(train)
+    for method in METHODS:
+        assert fit_method(method, train, solution).method == method
+    # keyword options reach the fit they belong to
+    assert fit_method("affine", train, sample_count=16, seed=3) == fit_affine(
+        train, sample_count=16, seed=3
+    )
+    assert fit_method("independent-sigmoid", train, cutoff=0.0) == (
+        fit_independent_sigmoid(train, cutoff=0.0)
+    )
+    for method in ("joint-sigmoid", "joint-thresholds"):
+        with pytest.raises(ValidationError):
+            fit_method(method, train)
+    with pytest.raises(ValidationError):
+        fit_method("platt-scaling", train)

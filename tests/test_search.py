@@ -4,19 +4,21 @@ import numpy as np
 import pytest
 
 from calib import (
+    GenerateSpec,
     Problem,
     ROOT_COVERED,
     SearchOptions,
     check_feasible,
     compute_loss,
     extract_candidates,
+    generate,
     oracle_solve,
     plan_tree,
     redundant_classifiers,
-    reduce_depth,
     solve_anytime,
     solve_exact,
 )
+from calib import search
 
 from conftest import small_problem
 
@@ -46,19 +48,20 @@ def test_exact_free_cover(toy_free):
 
 
 def test_reduce_depth(toy, toy_free):
-    remaining, root = reduce_depth(toy_free, extract_candidates(toy_free))
-    assert remaining == [] and root == (4.25, 2.65)
-    remaining, _ = reduce_depth(toy, extract_candidates(toy))
-    assert remaining == [0, 1]
+    # toy_free: the tightest candidates (4.25, 2.65) already cover both
+    spec = plan_tree(toy_free, SearchOptions())
+    assert spec.level_positives == [] and spec.root_covered == [0, 1]
+    spec = plan_tree(toy, SearchOptions())
+    assert spec.level_positives == [0, 1] and spec.root_covered == []
+    spec = plan_tree(toy_free, SearchOptions(enable_depth_reduction=False))
+    assert spec.level_positives == [0, 1] and spec.root_covered == []
 
 
 def test_plan_tree_orderings(toy):
-    cands = extract_candidates(toy)
-    spec = plan_tree(toy, cands, SearchOptions())
+    spec = plan_tree(toy, SearchOptions())
     assert spec.level_positives == [0, 1]
     shuffled = plan_tree(
         toy,
-        cands,
         SearchOptions(enable_difficulty_order=False, random_order_seed=3),
     )
     assert sorted(shuffled.level_positives) == [0, 1]
@@ -104,8 +107,8 @@ def test_assignment_points_at_covering_classifier():
         for p, a in enumerate(sol.assignment):
             s = prob.positive_scores[:, p]
             if a == ROOT_COVERED:
-                root = extract_candidates(prob).root_config()
-                assert any(s[j] > root[j] for j in range(len(root)))
+                cands = extract_candidates(prob)
+                assert any(s[j] > c.tightest for j, c in enumerate(cands.per_classifier))
             else:
                 assert s[a] > theta[a]
 
@@ -170,7 +173,45 @@ def test_options_validation():
     with pytest.raises(ValueError):
         SearchOptions(budget_ms=0)
     with pytest.raises(ValueError):
+        SearchOptions(budget_ms=float("nan"))
+    with pytest.raises(ValueError):
         SearchOptions(node_budget=0)
+
+
+# Golden totals over small_problem(0..199) of [nodes_visited,
+# nodes_pruned_bound, nodes_pruned_equivalence, positives_removed_by_root]
+# per named ablation.  Losses alone cannot see a change in child order,
+# pruning or depth reduction; these totals do.
+TRAVERSAL_TOTALS = {
+    "all-on": [700, 713, 10, 469],
+    "no-bound": [3369, 0, 80, 469],
+    "no-equivalence": [700, 723, 0, 469],
+    "no-depth-reduction": [1193, 713, 10, 0],
+    "random-order": [846, 1112, 16, 469],
+    "all-off": [6156, 0, 0, 0],
+}
+
+
+def test_traversal_counts_pinned():
+    totals = {name: [0, 0, 0, 0] for name in search.ABLATIONS}
+    for seed in range(200):
+        prob = small_problem(seed)
+        for name, flags in search.ABLATIONS.items():
+            st = solve_exact(prob, SearchOptions(random_order_seed=seed, **flags)).stats
+            counts = [st.nodes_visited, st.nodes_pruned_bound,
+                      st.nodes_pruned_equivalence, st.positives_removed_by_root]
+            totals[name] = [a + b for a, b in zip(totals[name], counts)]
+    assert totals == TRAVERSAL_TOTALS
+
+
+def test_deep_tree_is_not_bounded_by_recursion():
+    prob, _ = generate(GenerateSpec(seed=1, num_classifiers=3, num_positives=3000,
+                                    num_negatives=400))
+    sol = solve_exact(prob, SearchOptions(enable_depth_reduction=False, node_budget=1))
+    assert sol.stats.levels == 3000
+    # the first descent, its leaf, and the one visit the budget stops
+    assert sol.stats.nodes_visited == 3002
+    assert check_feasible(prob, sol.config) and not sol.optimal
 
 
 def test_redundant_classifiers_toy(toy, toy_free):

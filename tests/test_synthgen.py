@@ -150,6 +150,9 @@ def test_spec_validation():
             seed=0, num_classifiers=1, num_positives=2, num_negatives=2,
             hardness_fraction=0.5,
         )
+    for bad in ({"seed": True}, {"seed": 1.5}, {"dimensions": 2.0}):
+        with pytest.raises(InvalidSpec):
+            replace(BASE, **bad)
     with pytest.raises(InvalidSpec):
         # a split this lopsided leaves no test positives
         generate(replace(BASE, num_positives=1, split_fraction=0.99))

@@ -35,15 +35,15 @@ def test_toy_candidates_frozen(toy):
     assert [conceded(toy, 0, t) for t in e0.thresholds] == [[], [0], [0, 1]]
     assert e1.thresholds == (4.2, 2.75, -0.25)
     assert [conceded(toy, 1, t) for t in e1.thresholds] == [[], [2], [0, 2]]
-    assert cands.root_config() == (7.0, 4.2)
+    assert (e0.tightest, e1.tightest) == (7.0, 4.2)
     assert cands.lowest_config() == (1.25, -0.25)
 
 
 def test_root_config_free_cover(toy_free):
-    cands = extract_candidates(toy_free)
+    root = tuple(c.tightest for c in extract_candidates(toy_free).per_classifier)
     # every positive clears every negative: tightest candidates cover all
-    assert check_feasible(toy_free, cands.root_config())
-    assert compute_loss(toy_free, cands.root_config()) == 0
+    assert check_feasible(toy_free, root)
+    assert compute_loss(toy_free, root) == 0
 
 
 def test_sentinel_only_when_top_score_is_negative():
