@@ -17,6 +17,7 @@ from .errors import (
     InfeasibleSolution,
     ParseError,
     UnknownClassifier,
+    ValidationError,
 )
 from .problem import Problem, Solution, _read_json, _write_json, check_feasible
 from .synthgen import CounterRng
@@ -162,8 +163,11 @@ def fit_independent_sigmoid(problem: Problem, cutoff: float = -1.0) -> Calibrati
 
     Samples at or below the margin cutoff are dropped before fitting, per
     classifier; a classifier retaining no positives gets the degenerate
-    constant map and is flagged.
+    constant map and is flagged.  A NaN cutoff, which would drop every
+    sample, raises ValidationError; -inf keeps them all.
     """
+    if np.isnan(cutoff):
+        raise ValidationError("cutoff must not be NaN")
     maps = []
     degenerate = []
     for j in range(problem.num_classifiers):
@@ -266,8 +270,11 @@ def fit_affine(
     calibrated = (s - mean_neg) / std_neg, with moments taken over up to
     sample_count negatives (drawn with replacement by the seeded counter
     generator when the problem has more).  Raises DegenerateVariance when
-    the sampled negatives are constant.
+    the sampled negatives are constant, and ValidationError when
+    sample_count is below 1.
     """
+    if sample_count < 1:
+        raise ValidationError(f"sample_count must be at least 1, got {sample_count}")
     rng = CounterRng(seed)
     n = problem.num_negatives
     maps = []

@@ -1,16 +1,16 @@
 """Incremental false-positive bookkeeping for the tree search.
 
-A CoverState tracks, per negative, how many classifiers currently score it
-positively, as thresholds are lowered edge by edge and restored on
-backtrack.  Counts (not booleans) make undo O(touched) without rescanning
-other classifiers.  Negatives are pre-sorted by score once per classifier,
-so the negatives swept by one edge form a contiguous slice and all per-edge
-work is vectorized over it.
+A CoverState holds the false positives (negatives some classifier currently
+scores above its threshold) as a packed bitset ``fp``: one bit per negative,
+little-endian in ceil(N/64) uint64 words.  ``rows[j, t]`` packs the
+negatives scoring strictly above classifier j's candidate t, the rule
+``compute_loss`` uses, in E x (max candidates) x ceil(N/64) x 8 bytes.  An
+edge to candidate t newly covers ``rows[j, t] & ~fp``, so one vectorized
+call prices every child of a node, and equal sets are byte-equal.
 
-Positives need no counters: positive p is covered exactly when some
-classifier j has reached candidate position ``cover_position[j, p]``, the
-first candidate strictly below p's score, so coverage is read off the
-current positions.
+Positives need no bits: positive p is covered once some classifier j has
+reached ``cover_position[j, p]``, its first candidate strictly below p's
+score, so coverage is read off the current positions.
 """
 
 from __future__ import annotations
@@ -20,6 +20,9 @@ import numpy as np
 from .errors import EmptyJournal, MonotonicityViolation
 from .problem import Problem, compute_loss
 from .thresholds import CandidateThresholdSet
+
+# Cap on the temporary boolean arrays that build one block of classifiers.
+_BLOCK_BYTES = 4 << 20
 
 
 class CoverState:
@@ -35,58 +38,56 @@ class CoverState:
             raise ValueError("candidate set does not match problem")
         self.problem = problem
         self.candidates = candidates
-        E = problem.num_classifiers
+        E, N = problem.num_classifiers, problem.num_negatives
+        W = -(-N // 64)
 
-        # Per classifier: negative indices sorted by score descending, plus
-        # for every candidate position the count of negatives scoring above
-        # it.  Candidates never equal any score, so prefix counts cut cleanly.
-        self._neg_order: list[np.ndarray] = []
-        self._neg_prefix: list[np.ndarray] = []
-        self.cover_position = np.empty((E, problem.num_positives), dtype=np.intp)
-        for j in range(E):
-            neg = problem.negative_scores[j]
-            cand = np.array(candidates[j].thresholds)
-            self._neg_order.append(np.argsort(-neg, kind="stable"))
-            self._neg_prefix.append(
-                len(neg) - np.searchsorted(np.sort(neg), cand, side="right")
-            )
-            assert self._neg_prefix[j][0] == 0, "tightest candidate must cost nothing"
-            # Earliest candidate position strictly below each positive's
-            # score; exists for every positive by construction.
-            pos = problem.positive_scores[j]
-            count_below = np.searchsorted(cand[::-1], pos, side="left")
-            assert (count_below > 0).all(), "positive with no candidate below it"
-            self.cover_position[j] = len(cand) - count_below
+        # Candidates padded with -inf to a common length; padded rows are
+        # never reached, since no position passes a classifier's last one.
+        lengths = np.array([len(c) for c in candidates])
+        T = lengths.max()
+        C = np.full((E, T), -np.inf)
+        for j, c in enumerate(candidates):
+            C[j, : len(c)] = c.thresholds
+        neg, pos = problem.negative_scores, problem.positive_scores
+        self.cover_position = np.empty(pos.shape, dtype=np.intp)
+        self.rows = np.empty((E, T, W), dtype=np.uint64)
+        block = max(1, _BLOCK_BYTES // (T * (W * 64 + pos.shape[1])))
+        for lo in range(0, E, block):
+            hi = min(lo + block, E)
+            # Earliest candidate position strictly below each positive's score.
+            at_or_above = C[lo:hi, None, :] >= pos[lo:hi, :, None]
+            self.cover_position[lo:hi] = at_or_above.sum(-1)
+            bits = np.zeros((hi - lo, T, W * 64), dtype=bool)
+            np.greater(neg[lo:hi, None, :], C[lo:hi, :, None], out=bits[..., :N])
+            packed = np.packbits(bits, axis=-1, bitorder="little")
+            self.rows[lo:hi] = packed.view(np.uint64)
+        reached = self.cover_position < lengths[:, None]
+        assert reached.all(), "positive with no candidate below it"
+        assert not self.rows[:, 0].any(), "tightest candidate must cost nothing"
 
         self.positions = np.zeros(E, dtype=np.intp)
-        self.neg_count = np.zeros(problem.num_negatives, dtype=np.int32)
+        self.fp = np.zeros(W, dtype=np.uint64)
         self.fp_count = 0
-        self.journal: list[tuple[int, int, int]] = []  # (classifier, old, inc)
+        self.journal: list[tuple[int, int, np.ndarray]] = []  # (classifier, old, newly)
 
-    def _neg_slice(self, classifier: int, lo: int, hi: int) -> np.ndarray:
-        prefix = self._neg_prefix[classifier]
-        return self._neg_order[classifier][prefix[lo]: prefix[hi]]
-
-    def _sweep(self, classifier: int, target: int) -> tuple[int, np.ndarray, np.ndarray]:
-        """Current position, negatives an edge sweeps, and which are uncovered."""
-        cur = int(self.positions[classifier])
-        if target < cur:
+    def _newly(self, classifier, target) -> np.ndarray:
+        """Negatives the edge(s) would newly cover, after the monotonicity check."""
+        cur = self.positions[classifier]
+        if (target < cur).any():
             raise MonotonicityViolation(
                 f"classifier {classifier}: target position {target} is tighter "
                 f"than current {cur}"
             )
-        sl = self._neg_slice(classifier, cur, target)
-        return cur, sl, self.neg_count[sl] == 0
+        return self.rows[classifier, target] & ~self.fp
 
-    def peek_edge(self, classifier: int, target: int) -> tuple[int, np.ndarray]:
-        """Loss increase and newly covered negatives of an edge, unapplied.
+    def peek_edge(self, classifier, target) -> tuple[np.ndarray, np.ndarray]:
+        """Loss increase and newly covered negatives of edges, unapplied.
 
-        The returned indices are sorted ascending, so equal sets compare
-        equal elementwise (and byte-wise).
+        Takes one classifier and target, or equal-length arrays of them and
+        then returns one loss increase and one packed row per edge.
         """
-        _, sl, fresh = self._sweep(classifier, target)
-        newly = np.sort(sl[fresh])
-        return len(newly), newly
+        newly = self._newly(classifier, target)
+        return np.bitwise_count(newly).sum(-1), newly
 
     def apply_edge(self, classifier: int, target: int) -> int:
         """Lower one classifier's threshold to a candidate position.
@@ -96,11 +97,10 @@ class CoverState:
         position; a no-op edge (target == current) is journaled like any
         other.
         """
-        cur, sl, fresh = self._sweep(classifier, target)
-        inc = int(np.count_nonzero(fresh))
-        self.neg_count[sl] += 1
-        self.fp_count += inc
-        self.journal.append((classifier, cur, inc))
+        newly = self._newly(classifier, target)
+        self.fp |= newly
+        self.fp_count += int(np.bitwise_count(newly).sum())
+        self.journal.append((classifier, int(self.positions[classifier]), newly))
         self.positions[classifier] = target
         return self.fp_count
 
@@ -108,12 +108,10 @@ class CoverState:
         """Exact inverse of the most recent apply_edge."""
         if not self.journal:
             raise EmptyJournal("undo with no pending apply")
-        classifier, old, inc = self.journal.pop()
-        sl = self._neg_slice(classifier, old, self.positions[classifier])
-        self.neg_count[sl] -= 1
-        dropped = int(np.count_nonzero(self.neg_count[sl] == 0))
-        self.fp_count -= dropped
-        assert dropped == inc, "undo does not mirror its apply"
+        classifier, old, newly = self.journal.pop()
+        assert not (newly & ~self.fp).any(), "undo does not mirror its apply"
+        self.fp ^= newly
+        self.fp_count -= int(np.bitwise_count(newly).sum())
         self.positions[classifier] = old
 
     def is_positive_covered(self, positive: int) -> bool:
@@ -133,6 +131,6 @@ class CoverState:
         )
 
     def assert_consistent(self) -> None:
-        """Debug oracle: incremental counters must match batch recomputation."""
-        assert self.fp_count == int((self.neg_count > 0).sum())
+        """Debug oracle: the incremental count must match batch recomputation."""
+        assert self.fp_count == int(np.bitwise_count(self.fp).sum())
         assert self.fp_count == compute_loss(self.problem, self.config())

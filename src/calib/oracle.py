@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import TooLarge
+from .errors import TooLarge, ValidationError
 from .problem import Problem, ThresholdConfig
 from .thresholds import extract_candidates
 
@@ -46,8 +46,11 @@ def oracle_solve(problem: Problem, cap: int = GRID_CAP) -> OracleResult:
     """Minimum loss over all candidate configurations, by full enumeration.
 
     Returns the lexicographically smallest optimal configuration (compared
-    by threshold values).  Raises TooLarge when the grid exceeds cap cells.
+    by threshold values).  Raises TooLarge when the grid exceeds cap cells,
+    and ValidationError when cap is below 1.
     """
+    if cap < 1:
+        raise ValidationError(f"cap must be at least 1, got {cap}")
     candidates = extract_candidates(problem)
     E = problem.num_classifiers
     total = 1

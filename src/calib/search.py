@@ -15,6 +15,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
+import numpy as np
+
 from .cover import CoverState
 from .errors import InfeasibleSolution
 from .problem import (
@@ -125,7 +127,7 @@ def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solut
     tree = plan_tree(problem, options)
     levels = tree.level_positives
     h = len(levels)
-    E = problem.num_classifiers
+    classifiers = np.arange(problem.num_classifiers)
 
     stats = SearchStats(levels=h)
     stats.positives_removed_by_root = len(tree.root_covered)
@@ -155,23 +157,20 @@ def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solut
 
     def plan_children(p: int) -> list[tuple[int, int, int]]:
         """(incremental loss, classifier, target) per child, in (inc, j) order."""
-        kids = []
-        for j in range(E):
-            target = int(state.cover_position[j, p])
-            inc, newly = state.peek_edge(j, target)
-            kids.append((inc, j, target, newly))
-        kids.sort(key=lambda c: (c[0], c[1]))
+        targets = state.cover_position[:, p]
+        incs, newly = state.peek_edge(classifiers, targets)
+        inc_list, target_list = incs.tolist(), targets.tolist()
         children: list[tuple[int, int, int]] = []
         seen: set[bytes] = set()
-        for inc, j, target, newly in kids:
+        for j in np.argsort(incs, kind="stable").tolist():
             if options.enable_prune_equivalence:
-                # newly is sorted, so byte equality is exact set equality.
-                key = newly.tobytes()
+                # Packed bits are canonical, so byte equality is exact set equality.
+                key = newly[j].tobytes()
                 if key in seen:
                     stats.nodes_pruned_equivalence += 1
                     continue
                 seen.add(key)
-            children.append((inc, j, target))
+            children.append((inc_list[j], j, target_list[j]))
         return children
 
     def expand(depth: int) -> Iterator[None]:
@@ -182,17 +181,19 @@ def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solut
             assignment[p] = state.covering_classifier(p)
             yield
             return
-        # Planned in full before the first child is entered: a budget firing
-        # below still counts every equivalence prune, and the suspended node
-        # holds only these tuples, not its children's negative sets.
-        for inc, j, target in plan_children(p):
+        # Planned in full before any child is entered, so a budget firing below
+        # still counts every equivalence prune; a suspended node holds tuples.
+        children = plan_children(p)
+        for k, (inc, j, target) in enumerate(children):
             if (
                 options.enable_prune_bound
                 and best_loss is not None
                 and state.fp_count + inc >= best_loss
             ):
-                stats.nodes_pruned_bound += 1
-                continue
+                # Children come in ascending inc and best_loss only falls,
+                # so every later sibling fails the bound too.
+                stats.nodes_pruned_bound += len(children) - k
+                return
             state.apply_edge(j, target)
             assignment[p] = j
             yield

@@ -158,6 +158,14 @@ def test_oracle_cap_exits_4():
     assert "calib oracle" in res.stderr
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_oracle_bad_cap_exits_2(cap):
+    res = run("oracle", str(GOLDEN), "--cap", cap)
+    assert res.returncode == 2
+    assert "ValidationError: cap must be at least 1" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_missing_file_exits_2(tmp_path):
     res = run("solve", str(tmp_path / "nope.json"), "--out", str(tmp_path / "s.json"))
     assert res.returncode == 2
@@ -213,6 +221,27 @@ def test_calibrate_all_methods(tmp_path, method):
     assert run(*argv).returncode == 0
     model = load_model(model_path)
     assert model.num_classifiers == 2
+
+
+@pytest.mark.parametrize("method,option,value,name", [
+    ("affine", "--sample-count", "0", "sample_count"),
+    ("affine", "--sample-count", "-3", "sample_count"),
+    ("independent-sigmoid", "--cutoff", "nan", "cutoff"),
+], ids=["zero-samples", "negative-samples", "nan-cutoff"])
+def test_calibrate_bad_argument_exits_2(tmp_path, method, option, value, name):
+    out = tmp_path / "m.json"
+    res = run("calibrate", str(GOLDEN), "--method", method, option, value, "--out", str(out))
+    assert res.returncode == 2
+    assert f"ValidationError: {name}" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not out.exists()
+
+
+def test_calibrate_infinite_cutoff_keeps_every_sample(tmp_path):
+    out = tmp_path / "m.json"
+    argv = ["calibrate", str(GOLDEN), "--method", "independent-sigmoid", "--cutoff=-inf"]
+    assert run(*argv, "--out", str(out)).returncode == 0
+    assert load_model(out).degenerate == ()
 
 
 def test_calibrate_joint_without_solution_exits_1(tmp_path):

@@ -11,6 +11,7 @@ from calib import (
     MonotonicityViolation,
     Problem,
     compute_loss,
+    cover,
     extract_candidates,
 )
 
@@ -21,6 +22,15 @@ def make_state(problem):
     return CoverState(problem, extract_candidates(problem))
 
 
+def bits(packed, n):
+    """One bool per negative, unpacked from a little-endian packed set."""
+    return np.unpackbits(packed.view(np.uint8), bitorder="little")[:n].astype(bool)
+
+
+def fp_bits(st):
+    return bits(st.fp, st.problem.num_negatives)
+
+
 def test_root_state_toy(toy):
     st = make_state(toy)
     assert st.fp_count == 0
@@ -28,16 +38,16 @@ def test_root_state_toy(toy):
     assert not any(st.is_positive_covered(p) for p in range(toy.num_positives))
     assert st.config() == (7.0, 4.2)
     assert st.positions.tolist() == [0, 0]
-    assert not (st.neg_count > 0).any()
+    assert not fp_bits(st).any()
 
 
 def test_apply_undo_single_edge(toy):
     st = make_state(toy)
     peek_inc, peek_newly = st.peek_edge(0, 2)
-    assert peek_inc == 2 and peek_newly.tolist() == [0, 1]
-    assert st.fp_count == 0  # peek does not mutate
+    assert peek_inc == 2 and np.flatnonzero(bits(peek_newly, 3)).tolist() == [0, 1]
+    assert st.fp_count == 0 and not fp_bits(st).any()  # peek does not mutate
     assert st.apply_edge(0, 2) == 2
-    assert np.flatnonzero(st.neg_count > 0).tolist() == [0, 1]
+    assert np.flatnonzero(fp_bits(st)).tolist() == [0, 1]
     assert st.positions.tolist() == [2, 0]
     assert st.is_positive_covered(0) and st.is_positive_covered(1)
     assert st.covering_classifier(0) == st.covering_classifier(1) == 0
@@ -60,7 +70,7 @@ def test_shared_negative_counted_once():
     st = make_state(p)
     assert st.apply_edge(0, 1) == 1
     assert st.apply_edge(1, 1) == 1  # second cover of negative 0 is free
-    assert st.neg_count.tolist() == [2]
+    assert fp_bits(st).tolist() == [True]
     st.undo_edge()
     assert st.fp_count == 1
     st.undo_edge()
@@ -73,12 +83,12 @@ def test_equal_fp_sets_share_fingerprint():
         negative_scores=np.array([[2.0], [2.0]]),
     )
     st = make_state(p)
-    root = st.neg_count > 0
+    root = fp_bits(st)
     st.apply_edge(0, 1)
-    via0 = st.neg_count > 0
+    via0 = fp_bits(st)
     st.undo_edge()
     st.apply_edge(1, 1)
-    via1 = st.neg_count > 0
+    via1 = fp_bits(st)
     assert np.array_equal(via0, via1) and not np.array_equal(via0, root)
 
 
@@ -111,7 +121,7 @@ def test_random_walk_apply_undo_round_trip(seed):
     root exactly."""
     prob = small_problem(seed)
     st = make_state(prob)
-    root_neg = st.neg_count.copy()
+    root_neg = fp_bits(st)
     rng = random.Random(seed * 7 + 1)
     steps = 0
     for _ in range(30):
@@ -124,15 +134,17 @@ def test_random_walk_apply_undo_round_trip(seed):
             continue
         target = rng.randint(cur, hi)
         inc, newly = st.peek_edge(j, target)
+        newly_bits = bits(newly, prob.num_negatives)
         before_fp = st.fp_count
-        before_neg = st.neg_count > 0
+        before_neg = fp_bits(st)
         fp = st.apply_edge(j, target)
         # peek promised exactly what apply delivered
-        assert fp - before_fp == inc == len(newly)
-        now_neg = st.neg_count > 0
-        assert np.flatnonzero(now_neg & ~before_neg).tolist() == newly.tolist()
+        assert fp - before_fp == inc == newly_bits.sum()
+        assert np.array_equal(fp_bits(st) & ~before_neg, newly_bits)
         assert fp == compute_loss(prob, st.config())
-        assert list(newly) == sorted(newly)
+        # newly is the edge's row minus what was already covered
+        row = prob.negative_scores[j] > st.candidates[j].thresholds[target]
+        assert np.array_equal(newly_bits, row & ~before_neg)
         theta = np.array(st.config())[:, None]
         covered = (prob.positive_scores > theta).any(axis=0).tolist()
         assert [st.is_positive_covered(p) for p in range(prob.num_positives)] == covered
@@ -142,6 +154,63 @@ def test_random_walk_apply_undo_round_trip(seed):
     while st.journal:
         st.undo_edge()
     assert st.positions.tolist() == [0] * prob.num_classifiers
-    assert st.fp_count == 0 or st.fp_count == int((root_neg > 0).sum())
-    assert np.array_equal(st.neg_count, root_neg)
+    assert st.fp_count == 0 and not root_neg.any()
+    assert np.array_equal(fp_bits(st), root_neg)
+    st.assert_consistent()
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_rows_match_threshold_rule(seed):
+    """Every reachable row is exactly the negatives scoring above its candidate."""
+    prob = small_problem(seed)
+    st = make_state(prob)
+    for j in range(prob.num_classifiers):
+        for t, theta in enumerate(st.candidates[j].thresholds):
+            expected = prob.negative_scores[j] > theta
+            assert np.array_equal(bits(st.rows[j, t], prob.num_negatives), expected)
+
+
+def test_rows_do_not_depend_on_block_size(monkeypatch):
+    prob = small_problem(3)
+    whole = make_state(prob)
+    monkeypatch.setattr(cover, "_BLOCK_BYTES", 1)  # one classifier per block
+    blocked = make_state(prob)
+    assert np.array_equal(blocked.rows, whole.rows)
+    assert np.array_equal(blocked.cover_position, whole.cover_position)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_array_peek_equals_scalar_peeks(seed):
+    prob = small_problem(seed)
+    st = make_state(prob)
+    rng = random.Random(seed)
+    E = prob.num_classifiers
+
+    def looser(j):
+        return rng.randint(st.positions[j], len(st.candidates[j]) - 1)
+
+    for _ in range(3):
+        j = rng.randrange(E)
+        st.apply_edge(j, looser(j))
+    targets = np.array([looser(j) for j in range(E)])
+    incs, newly = st.peek_edge(np.arange(E), targets)
+    assert incs.shape == (E,) and newly.shape == (E, st.fp.size)
+    for j in range(E):
+        inc, row = st.peek_edge(j, int(targets[j]))
+        assert incs[j] == inc and np.array_equal(newly[j], row)
+    tighter = targets.copy()
+    tighter[rng.randrange(E)] = -1
+    with pytest.raises(MonotonicityViolation):
+        st.peek_edge(np.arange(E), tighter)
+
+
+def test_no_negatives_costs_nothing():
+    p = Problem(
+        positive_scores=np.array([[5.0, 1.0], [2.0, 3.0]]),
+        negative_scores=np.zeros((2, 0)),
+    )
+    st = make_state(p)
+    incs, newly = st.peek_edge(np.arange(2), st.cover_position[:, 0])
+    assert incs.tolist() == [0, 0] and newly.shape == (2, 0)
+    assert st.apply_edge(0, int(st.cover_position[0, 0])) == 0
     st.assert_consistent()
