@@ -14,8 +14,6 @@ from .calibrators import (
     SigmoidParams,
     apply_map,
     calibrated_matrix,
-    calibrated_score,
-    ensemble_calibrated_score,
     ensemble_scores,
     fit_affine,
     fit_independent_sigmoid,
@@ -66,7 +64,6 @@ from .problem import (
     check_feasible,
     compute_loss,
     derive_assignment,
-    ensemble_score,
     load_problem,
     load_solution,
     save_problem,
@@ -75,18 +72,13 @@ from .problem import (
 from .search import (
     SearchOptions,
     SearchTreeSpec,
+    difficulty_order,
     plan_tree,
     redundant_classifiers,
     solve_anytime,
     solve_exact,
 )
 from .synthgen import CounterRng, GenerateSpec, generate
-from .thresholds import (
-    CandidateThresholdSet,
-    ClassifierCandidates,
-    DifficultyOrder,
-    difficulty_order,
-    extract_candidates,
-)
+from .thresholds import CandidateGrid, extract_candidates
 
 __version__ = "0.1.0"

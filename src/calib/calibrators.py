@@ -327,12 +327,6 @@ def apply_map(params, scores: np.ndarray) -> np.ndarray:
     raise TypeError(f"unknown parameter block {type(params).__name__}")
 
 
-def calibrated_score(model: CalibrationModel, classifier: int, score: float) -> float:
-    if not 0 <= classifier < model.num_classifiers:
-        raise UnknownClassifier(f"classifier {classifier} not in model")
-    return float(apply_map(model.maps[classifier], np.array([score]))[0])
-
-
 def calibrated_matrix(model: CalibrationModel, scores: np.ndarray) -> np.ndarray:
     """Apply per-classifier maps to an (E, M) score matrix."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -346,20 +340,8 @@ def calibrated_matrix(model: CalibrationModel, scores: np.ndarray) -> np.ndarray
     )
 
 
-def ensemble_calibrated_score(model: CalibrationModel, sample_scores) -> float:
-    """Max over classifiers of the calibrated score of one sample."""
-    s = np.asarray(sample_scores, dtype=np.float64)
-    if s.ndim != 1 or s.shape[0] != model.num_classifiers:
-        raise UnknownClassifier(
-            f"sample has {s.size} scores, model has {model.num_classifiers}"
-        )
-    return float(calibrated_matrix(model, s[:, None]).max())
-
-
 def ensemble_scores(model: CalibrationModel, scores: np.ndarray) -> np.ndarray:
     """Ensemble calibrated scores of all columns of an (E, M) matrix."""
-    if scores.shape[1] == 0:
-        return np.empty(0)
     return calibrated_matrix(model, scores).max(axis=0)
 
 

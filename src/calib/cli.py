@@ -50,8 +50,28 @@ EXIT_TOO_LARGE = 4
 log = logging.getLogger("calib")
 
 
+class _NegativeNumber:
+    """Matches a token that parses as a negative float: -1, -1e-3, -1E2, -inf."""
+
+    @staticmethod
+    def match(token: str) -> bool:
+        try:
+            float(token)
+        except ValueError:
+            return False
+        return token.startswith("-")
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; this tool reserves 2 for bad data."""
+    """argparse exits 2 on usage errors; this tool reserves 2 for bad data.
+
+    It also takes any negative float as an option's value, where argparse
+    alone mistakes ``-inf`` or ``-1e-3`` for an unknown option.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NegativeNumber()
 
     def error(self, message):
         self.print_usage(sys.stderr)

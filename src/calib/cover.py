@@ -7,10 +7,13 @@ negatives scoring strictly above classifier j's candidate t, the rule
 ``compute_loss`` uses, in E x (max candidates) x ceil(N/64) x 8 bytes.  An
 edge to candidate t newly covers ``rows[j, t] & ~fp``, so one vectorized
 call prices every child of a node, and equal sets are byte-equal.
+``cost[j, t]`` counts the negatives in ``rows[j, t]``.
 
 Positives need no bits: positive p is covered once some classifier j has
 reached ``cover_position[j, p]``, its first candidate strictly below p's
-score, so coverage is read off the current positions.
+score, so coverage is read off the current positions.  At the root,
+covering p through classifier j concedes ``cost[j, cover_position[j, p]]``
+negatives.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from .errors import EmptyJournal, MonotonicityViolation
 from .problem import Problem, compute_loss
-from .thresholds import CandidateThresholdSet
+from .thresholds import CandidateGrid
 
 # Cap on the temporary boolean arrays that build one block of classifiers.
 _BLOCK_BYTES = 4 << 20
@@ -33,21 +36,18 @@ class CoverState:
     and shareable.
     """
 
-    def __init__(self, problem: Problem, candidates: CandidateThresholdSet):
-        if len(candidates) != problem.num_classifiers:
-            raise ValueError("candidate set does not match problem")
+    def __init__(self, problem: Problem, grid: CandidateGrid):
+        if len(grid) != problem.num_classifiers:
+            raise ValueError("candidate grid does not match problem")
         self.problem = problem
-        self.candidates = candidates
-        E, N = problem.num_classifiers, problem.num_negatives
+        self.grid = grid
+        C = grid.thresholds
+        E, T = C.shape
+        N = problem.num_negatives
         W = -(-N // 64)
 
-        # Candidates padded with -inf to a common length; padded rows are
-        # never reached, since no position passes a classifier's last one.
-        lengths = np.array([len(c) for c in candidates])
-        T = lengths.max()
-        C = np.full((E, T), -np.inf)
-        for j, c in enumerate(candidates):
-            C[j, : len(c)] = c.thresholds
+        # Padded -inf candidates are never reached: no position passes a
+        # classifier's last candidate.
         neg, pos = problem.negative_scores, problem.positive_scores
         self.cover_position = np.empty(pos.shape, dtype=np.intp)
         self.rows = np.empty((E, T, W), dtype=np.uint64)
@@ -61,9 +61,10 @@ class CoverState:
             np.greater(neg[lo:hi, None, :], C[lo:hi, :, None], out=bits[..., :N])
             packed = np.packbits(bits, axis=-1, bitorder="little")
             self.rows[lo:hi] = packed.view(np.uint64)
-        reached = self.cover_position < lengths[:, None]
+        self.cost = np.bitwise_count(self.rows).sum(-1, dtype=np.int64)
+        reached = self.cover_position < grid.lengths[:, None]
         assert reached.all(), "positive with no candidate below it"
-        assert not self.rows[:, 0].any(), "tightest candidate must cost nothing"
+        assert not self.cost[:, 0].any(), "tightest candidate must cost nothing"
 
         self.positions = np.zeros(E, dtype=np.intp)
         self.fp = np.zeros(W, dtype=np.uint64)
@@ -126,9 +127,7 @@ class CoverState:
 
     def config(self) -> tuple[float, ...]:
         """Threshold values of the current candidate positions."""
-        return tuple(
-            self.candidates[j].thresholds[p] for j, p in enumerate(self.positions)
-        )
+        return self.grid.config(self.positions)
 
     def assert_consistent(self) -> None:
         """Debug oracle: the incremental count must match batch recomputation."""

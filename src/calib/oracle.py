@@ -51,11 +51,12 @@ def oracle_solve(problem: Problem, cap: int = GRID_CAP) -> OracleResult:
     """
     if cap < 1:
         raise ValidationError(f"cap must be at least 1, got {cap}")
-    candidates = extract_candidates(problem)
+    grid = extract_candidates(problem)
     E = problem.num_classifiers
+    values = [grid[j] for j in range(E)]
     total = 1
-    for cand in candidates.per_classifier:
-        total *= len(cand.thresholds)
+    for v in values:
+        total *= len(v)
         if total > cap:
             raise TooLarge(f"candidate grid exceeds {cap} configurations")
 
@@ -66,12 +67,10 @@ def oracle_solve(problem: Problem, cap: int = GRID_CAP) -> OracleResult:
         pos = problem.positive_scores[j]
         neg = problem.negative_scores[j]
         pos_masks.append(
-            [sum(1 << p for p in range(len(pos)) if pos[p] > t)
-             for t in candidates[j].thresholds]
+            [sum(1 << p for p in range(len(pos)) if pos[p] > t) for t in values[j]]
         )
         neg_masks.append(
-            [sum(1 << n for n in range(len(neg)) if neg[n] > t)
-             for t in candidates[j].thresholds]
+            [sum(1 << n for n in range(len(neg)) if neg[n] > t) for t in values[j]]
         )
     full = (1 << problem.num_positives) - 1
     lowest_union = 0
@@ -79,7 +78,6 @@ def oracle_solve(problem: Problem, cap: int = GRID_CAP) -> OracleResult:
         lowest_union |= pos_masks[j][-1]
     assert lowest_union == full, "all-lowest configuration must cover every positive"
 
-    values = [candidates[j].thresholds for j in range(E)]
     best_loss: int | None = None
     best_values: tuple[float, ...] | None = None
     enumerated = 0

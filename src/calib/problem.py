@@ -4,16 +4,18 @@ A problem is an E x (P + N) matrix of precomputed classifier scores with a
 positive/negative labeling of the columns.  The ensemble scores a sample as
 ``max_j (s_j - theta_j)`` and a sample counts as scored positively when that
 margin is strictly greater than zero; a sample whose score equals the
-threshold is scored negatively.  Candidate thresholds are built strictly
-between distinct score values, so exact float comparisons are safe here.
+threshold is scored negatively.  A candidate threshold lies strictly
+between two distinct score values or on the lower one, which concedes the
+same negatives under that rule, so exact float comparisons are safe here.
+A positive at the lowest finite float has no threshold below it; candidate
+extraction rejects it with a ValidationError.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -187,42 +189,27 @@ def _thresholds_array(problem: Problem, config) -> np.ndarray:
 
 
 def compute_loss(problem: Problem, config) -> int:
-    """Number of negatives scored positively: |{n : max_j(s_j(n) - theta_j) > 0}|."""
+    """Number of negatives scored positively: |{n : max_j(s_j(n) - theta_j) > 0}|.
+
+    Margins are compared as s_j(n) > theta_j, which no overflow can upset.
+    """
     theta = _thresholds_array(problem, config)
-    if problem.num_negatives == 0:
-        return 0
-    margins = problem.negative_scores - theta[:, None]
-    return int(np.count_nonzero(margins.max(axis=0) > 0.0))
+    return int(np.count_nonzero((problem.negative_scores > theta[:, None]).any(axis=0)))
 
 
 def check_feasible(problem: Problem, config) -> bool:
     """True iff every positive is scored positively by at least one classifier."""
     theta = _thresholds_array(problem, config)
-    margins = problem.positive_scores - theta[:, None]
-    return bool((margins.max(axis=0) > 0.0).all())
+    return bool((problem.positive_scores > theta[:, None]).any(axis=0).all())
 
 
 def derive_assignment(problem: Problem, config) -> list[int]:
     """Smallest covering classifier index per positive, for a feasible config."""
     theta = _thresholds_array(problem, config)
-    covered = (problem.positive_scores - theta[:, None]) > 0.0
+    covered = problem.positive_scores > theta[:, None]
     if not covered.any(axis=0).all():
         raise InfeasibleSolution("config leaves some positive uncovered")
     return [int(np.argmax(covered[:, p])) for p in range(problem.num_positives)]
-
-
-def ensemble_score(sample_scores: Sequence[float], config) -> float:
-    """Max over classifiers of the threshold-shifted score of one sample."""
-    s = np.asarray(sample_scores, dtype=np.float64)
-    theta = np.asarray(
-        config.thresholds if isinstance(config, ThresholdConfig) else config,
-        dtype=np.float64,
-    )
-    if s.shape != theta.shape:
-        raise DimensionMismatch(
-            f"sample has {s.size} scores but config has {theta.size} thresholds"
-        )
-    return float((s - theta).max())
 
 
 # ---------------------------------------------------------------------------
@@ -341,15 +328,8 @@ def save_solution(solution: Solution, path) -> None:
         "assignment": list(solution.assignment),
         "optimal": solution.optimal,
         "fallback": solution.fallback,
-        "stats": {
-            "nodes_visited": stats.nodes_visited,
-            "nodes_pruned_bound": stats.nodes_pruned_bound,
-            "nodes_pruned_equivalence": stats.nodes_pruned_equivalence,
-            "positives_removed_by_root": stats.positives_removed_by_root,
-            "levels": stats.levels,
-            "wall_time_ms": stats.wall_time_ms,
-            "incumbent_history": [[t, loss] for t, loss in stats.incumbent_history],
-        },
+        # Field order is key order, so a new SearchStats field is saved too.
+        "stats": {f.name: getattr(stats, f.name) for f in fields(SearchStats)},
     }
     _write_json(doc, path)
 
@@ -361,16 +341,9 @@ def load_solution(path) -> Solution:
         if not isinstance(raw_stats, dict):
             raise ParseError("field 'stats' is not an object")
         stats = SearchStats(
-            nodes_visited=raw_stats.get("nodes_visited", 0),
-            nodes_pruned_bound=raw_stats.get("nodes_pruned_bound", 0),
-            nodes_pruned_equivalence=raw_stats.get("nodes_pruned_equivalence", 0),
-            positives_removed_by_root=raw_stats.get("positives_removed_by_root", 0),
-            levels=raw_stats.get("levels", 0),
-            wall_time_ms=raw_stats.get("wall_time_ms", 0.0),
-            incumbent_history=[
-                (float(t), int(l)) for t, l in raw_stats.get("incumbent_history", [])
-            ],
+            **{f.name: raw_stats[f.name] for f in fields(SearchStats) if f.name in raw_stats}
         )
+        stats.incumbent_history = [(float(t), int(l)) for t, l in stats.incumbent_history]
         assignment: list[int | str] = []
         for a in doc["assignment"]:
             if a == ROOT_COVERED:

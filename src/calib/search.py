@@ -5,7 +5,8 @@ whose k = num_classifiers children per node each lower one classifier just
 enough to cover that level's positive.  Every leaf is a feasible
 configuration; depth-first traversal with an incumbent bound, sibling
 equivalence elimination, root depth reduction, and difficulty-first level
-ordering makes the exhaustive version tractable.
+ordering makes the exhaustive version tractable.  A positive's difficulty
+is read off the root CoverState's per-candidate costs.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .problem import (
     compute_loss,
     derive_assignment,
 )
-from .thresholds import difficulty_order, extract_candidates
+from .thresholds import extract_candidates
 
 TraceFn = Callable[[float, int, int], None]
 
@@ -90,24 +91,36 @@ class SearchTreeSpec:
     root_covered: list[int] = field(default_factory=list)
 
 
-def plan_tree(problem: Problem, options: SearchOptions) -> SearchTreeSpec:
+def difficulty_order(state: CoverState) -> tuple[np.ndarray, list[int]]:
+    """Per-positive difficulty and the positives sorted hardest first.
+
+    A positive's difficulty is the fewest negatives any one classifier must
+    concede to cover it from the root, ``min_j cost[j, cover_position[j, p]]``.
+    Placing hard positives at the top of the tree lets pruning by bound
+    discard larger subtrees; ties keep ascending index.
+    """
+    costs = np.take_along_axis(state.cost, state.cover_position, axis=1)
+    difficulty = costs.min(axis=0)
+    return difficulty, np.argsort(-difficulty, kind="stable").tolist()
+
+
+def plan_tree(state: CoverState, options: SearchOptions) -> SearchTreeSpec:
     """Fix the level order up front; the tree itself is traversed lazily.
 
     Depth reduction drops the positives of difficulty 0: some classifier's
     tightest candidate, which concedes no negative, already covers them, so
     they stay covered under every descendant configuration.
     """
-    levels = list(range(problem.num_positives))
+    levels = list(range(state.cover_position.shape[1]))
     covered: list[int] = []
     if options.enable_depth_reduction or options.enable_difficulty_order:
-        order = difficulty_order(problem)
-    if options.enable_depth_reduction:
-        covered = [p for p in levels if order.difficulty[p] == 0]
-        levels = [p for p in levels if order.difficulty[p] > 0]
-    if options.enable_difficulty_order:
-        remaining = set(levels)
-        levels = [p for p in order.order if p in remaining]
-    elif options.random_order_seed is not None:
+        difficulty, order = difficulty_order(state)
+        if options.enable_difficulty_order:
+            levels = order
+        if options.enable_depth_reduction:
+            covered = np.flatnonzero(difficulty == 0).tolist()
+            levels = [p for p in levels if difficulty[p] > 0]
+    if not options.enable_difficulty_order and options.random_order_seed is not None:
         random.Random(options.random_order_seed).shuffle(levels)
     return SearchTreeSpec(level_positives=levels, root_covered=covered)
 
@@ -122,9 +135,9 @@ def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solut
     if options is None:
         options = SearchOptions()
     t0 = time.perf_counter()
-    candidates = extract_candidates(problem)
-    state = CoverState(problem, candidates)
-    tree = plan_tree(problem, options)
+    grid = extract_candidates(problem)
+    state = CoverState(problem, grid)
+    tree = plan_tree(state, options)
     levels = tree.level_positives
     h = len(levels)
     classifiers = np.arange(problem.num_classifiers)
@@ -231,7 +244,7 @@ def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solut
     if best_loss is None:
         # Budget too small even for the first descent: fall back to the
         # always-feasible all-lowest configuration.
-        config = candidates.lowest_config()
+        config = grid.lowest_config()
         return Solution(
             config=ThresholdConfig(config),
             loss=compute_loss(problem, config),
@@ -270,26 +283,16 @@ def redundant_classifiers(problem: Problem, solution: Solution) -> set[int]:
     config = tuple(solution.config)
     if not check_feasible(problem, config):
         raise InfeasibleSolution("solution does not cover every positive")
-    candidates = extract_candidates(problem)
+    tightest = extract_candidates(problem).thresholds[:, 0]
     assigned = {a for a in solution.assignment if isinstance(a, int)}
     removed: set[int] = set()
     base_loss = compute_loss(problem, config)
-    E = problem.num_classifiers
-    for j in range(E):
-        if j in assigned:
+    for j in range(problem.num_classifiers):
+        if j in assigned or config[j] < tightest[j]:
             continue
-        if config[j] < candidates[j].tightest:
-            continue
-        trial = removed | {j}
-        if len(trial) == E:
-            continue
-        keep = [i for i in range(E) if i not in trial]
-        pos = problem.positive_scores[keep]
-        neg = problem.negative_scores[keep]
-        th = [[config[i]] for i in keep]
-        if not ((pos - th) > 0).any(axis=0).all():
-            continue
-        if int(((neg - th) > 0).any(axis=0).sum()) != base_loss:
-            continue
-        removed = trial
+        # A +inf threshold scores every sample negatively: the classifier is
+        # gone.  Removing all of them covers no positive, so fails here.
+        trial = [np.inf if i in removed or i == j else t for i, t in enumerate(config)]
+        if check_feasible(problem, trial) and compute_loss(problem, trial) == base_loss:
+            removed.add(j)
     return removed

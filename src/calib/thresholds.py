@@ -1,14 +1,22 @@
-"""Candidate threshold extraction and per-positive difficulty.
+"""Candidate threshold extraction.
 
 Only finitely many thresholds per classifier can matter: the loss changes
 only when a threshold crosses a negative's score, and the constraints only
 when it crosses a positive's score.  It is enough to consider one threshold
 in each gap directly below a positive whose next-lower distinct score
 belongs to a negative, plus a floor below the bottom-most positive, plus a
-sentinel above everything when the top score belongs to a negative.  Each
-candidate is placed at the midpoint of the two adjacent distinct values
-(offset 1.0 beyond the extremes), which keeps comparisons exact and the
-whole set at most P + 1 per classifier.
+sentinel above everything when the top score belongs to a negative.  That is
+at most P + 1 candidates per classifier, found for all classifiers at once
+from one sort of each classifier's scores.
+
+A gap's candidate is the midpoint of its two distinct scores when that lies
+strictly between them.  Where it does not (adjacent floats, or a sum that
+overflows) it is the lower score itself, which concedes the same negatives,
+since a score equal to the threshold is scored negatively.  The floor sits
+below the bottom score by 1.0, or by one float where 1.0 is absorbed; a
+positive at the lowest finite float has no finite threshold below it and is
+rejected.  The sentinel is the top score plus 1.0, which concedes nothing
+even where the 1.0 is absorbed.
 
 Samples with exactly equal scores are inseparable: a positive tied with a
 negative forces that negative's coverage, because a threshold must lie
@@ -21,106 +29,79 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
 from .problem import Problem
 
 
-@dataclass(frozen=True)
-class ClassifierCandidates:
-    """Descending candidate thresholds for one classifier.
+@dataclass(frozen=True, eq=False)
+class CandidateGrid:
+    """Descending candidate thresholds of every classifier of a problem.
 
-    The first (tightest) candidate concedes no negative; each later one
-    concedes strictly more.
+    Row j of ``thresholds`` (E x T, read-only) holds classifier j's
+    ``lengths[j]`` candidates, padded with -inf.  The first (tightest)
+    candidate concedes no negative; each later one concedes strictly more,
+    and the last covers every positive.
     """
 
-    thresholds: tuple[float, ...]
+    thresholds: np.ndarray
+    lengths: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.thresholds)
+        return len(self.lengths)
 
-    @property
-    def tightest(self) -> float:
-        return self.thresholds[0]
+    def __getitem__(self, j: int) -> tuple[float, ...]:
+        return tuple(self.thresholds[j, : self.lengths[j]].tolist())
 
-    @property
-    def lowest(self) -> float:
-        return self.thresholds[-1]
-
-
-@dataclass(frozen=True)
-class CandidateThresholdSet:
-    """Candidate thresholds for every classifier of a problem."""
-
-    per_classifier: tuple[ClassifierCandidates, ...]
-
-    def __getitem__(self, j: int) -> ClassifierCandidates:
-        return self.per_classifier[j]
-
-    def __len__(self) -> int:
-        return len(self.per_classifier)
+    def config(self, positions) -> tuple[float, ...]:
+        """Threshold values at one candidate position per classifier."""
+        return tuple(self.thresholds[np.arange(len(self)), positions].tolist())
 
     def lowest_config(self) -> tuple[float, ...]:
         """The all-lowest configuration, feasible by construction."""
-        return tuple(c.lowest for c in self.per_classifier)
+        return self.config(self.lengths - 1)
 
 
-def _extract_one(pos: np.ndarray, neg: np.ndarray) -> ClassifierCandidates:
-    # Distinct score values ascending, flagged by which side contributes.
-    distinct, inverse = np.unique(np.concatenate([pos, neg]), return_inverse=True)
-    has_pos = np.zeros(len(distinct), dtype=bool)
-    has_neg = np.zeros(len(distinct), dtype=bool)
-    has_pos[inverse[: pos.shape[0]]] = True
-    has_neg[inverse[pos.shape[0]:]] = True
-
-    thresholds: list[float] = []
-    top = len(distinct) - 1
-    if has_neg[top]:
-        # Top group contains a negative: a sentinel disabling the classifier
-        # is the only zero-cost candidate.
-        thresholds.append(float(distinct[top]) + 1.0)
-    for g in range(top, -1, -1):
-        if not has_pos[g]:
-            continue
-        if g == 0:
-            thresholds.append(float(distinct[0]) - 1.0)
-        elif has_neg[g - 1]:
-            thresholds.append(float(distinct[g] + distinct[g - 1]) / 2.0)
-    return ClassifierCandidates(thresholds=tuple(thresholds))
-
-
-def extract_candidates(problem: Problem) -> CandidateThresholdSet:
+def extract_candidates(problem: Problem) -> CandidateGrid:
     """Per-classifier candidate thresholds sufficient for global optimality."""
-    per = tuple(
-        _extract_one(problem.positive_scores[j], problem.negative_scores[j])
-        for j in range(problem.num_classifiers)
-    )
-    return CandidateThresholdSet(per_classifier=per)
+    scores = np.concatenate([problem.positive_scores, problem.negative_scores], axis=1)
+    order = np.argsort(scores, axis=1)
+    s = np.take_along_axis(scores, order, axis=1)  # each row ascending
+    # Number the groups of equal scores row after row, then flag each sample
+    # by whether its group holds a positive and whether it holds a negative.
+    starts = np.ones(s.shape, dtype=bool)
+    np.not_equal(s[:, 1:], s[:, :-1], out=starts[:, 1:])
+    group = np.cumsum(starts).reshape(s.shape) - 1
+    positive = order < problem.num_positives
+    has_pos = np.zeros(group.size, dtype=bool)  # no more groups than samples
+    has_neg = np.zeros(group.size, dtype=bool)
+    has_pos[group[positive]] = True
+    has_neg[group[~positive]] = True
+    has_pos, has_neg = has_pos[group], has_neg[group]
 
-
-@dataclass(frozen=True)
-class DifficultyOrder:
-    """Positives sorted by decreasing difficulty (ties: ascending index).
-
-    ``difficulty[i]`` is min over classifiers of the false positives needed
-    to cover positive i; placing hard positives at the top of the tree lets
-    pruning by bound discard larger subtrees.
-    """
-
-    order: tuple[int, ...]
-    difficulty: tuple[int, ...]
-
-
-def difficulty_order(problem: Problem) -> DifficultyOrder:
-    pos = problem.positive_scores  # (E, P)
-    neg = problem.negative_scores  # (E, N)
-    n = problem.num_negatives
-    # For every (classifier, positive) pair, the false positives that
-    # classifier must concede to cover the positive: negatives scoring >= it,
-    # since a tied negative is covered whenever the positive is (the
-    # threshold sits strictly below the positive's score).
-    counts = np.empty(pos.shape, dtype=np.int64)
-    for j in range(problem.num_classifiers):
-        neg_sorted = np.sort(neg[j])
-        counts[j] = n - np.searchsorted(neg_sorted, pos[j], side="left")
-    diff = counts.min(axis=0)
-    order = sorted(range(problem.num_positives), key=lambda i: (-diff[i], i))
-    return DifficultyOrder(order=tuple(order), difficulty=tuple(int(d) for d in diff))
+    below, above = s[:, :-1], s[:, 1:]
+    with np.errstate(over="ignore"):
+        mid = (above + below) / 2.0
+        floor = np.minimum(s[:, 0] - 1.0, np.nextafter(s[:, 0], -np.inf))
+    unserved = has_pos[:, 0] & ~np.isfinite(floor)
+    if unserved.any():
+        j = int(np.argmax(unserved))
+        raise ValidationError(
+            f"classifier {j}: positive score {float(s[j, 0])!r} has no finite "
+            "threshold below it"
+        )
+    # Descending: a sentinel disabling the classifier, the only zero-cost
+    # candidate when the top group has a negative; one candidate per start
+    # of a group with a positive directly above a group with a negative;
+    # the floor.
+    values = np.column_stack(
+        [floor, np.where((below < mid) & (mid < above), mid, below), s[:, -1] + 1.0]
+    )[:, ::-1]
+    kept = np.column_stack(
+        [has_pos[:, 0], starts[:, 1:] & has_pos[:, 1:] & has_neg[:, :-1], has_neg[:, -1]]
+    )[:, ::-1]
+    lengths = kept.sum(axis=1)
+    thresholds = np.full((len(lengths), lengths.max()), -np.inf)
+    thresholds[np.arange(lengths.max()) < lengths[:, None]] = values[kept]
+    thresholds.flags.writeable = False
+    lengths.flags.writeable = False
+    return CandidateGrid(thresholds=thresholds, lengths=lengths)

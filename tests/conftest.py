@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from calib import GenerateSpec, Problem, ThresholdConfig, check_feasible, compute_loss, generate
+from calib import GenerateSpec, Problem, check_feasible, compute_loss, generate
 
 
 def toy_two_by_two() -> Problem:
@@ -56,28 +56,24 @@ def small_problem(seed: int) -> Problem:
 
 
 def dense_sweep_optimum(problem: Problem) -> int:
-    """Brute-force optimum over thresholds at every distinct score +- epsilon.
+    """Brute-force optimum over every distinct threshold behaviour.
 
-    Independent reference for candidate-grid sufficiency: epsilon is a
-    quarter of the smallest gap between distinct scores, so t - eps / t + eps
-    probe both sides of every value without crossing a neighbor.
+    Independent reference for candidate-grid sufficiency: a threshold
+    anywhere in [v_k, v_k+1) between distinct scores scores the same samples
+    positive as one at v_k, and one below every score scores all of them
+    positive, like -inf.  So the distinct scores and -inf are every
+    behaviour, with no arithmetic that huge or adjacent floats could break.
     """
-    grids = []
-    for j in range(problem.num_classifiers):
-        vals = np.unique(
-            np.concatenate([problem.positive_scores[j], problem.negative_scores[j]])
-        )
-        eps = 0.25 * np.diff(vals).min() if len(vals) > 1 else 0.5
-        grids.append(sorted(set(np.concatenate([vals - eps, vals + eps]).tolist())))
-    best = None
-    for combo in itertools.product(*grids):
-        cfg = ThresholdConfig(combo)
-        if check_feasible(problem, cfg):
-            loss = compute_loss(problem, cfg)
-            if best is None or loss < best:
-                best = loss
-    assert best is not None, "lowest corner of the sweep must be feasible"
-    return best
+    grids = [
+        [-np.inf, *np.unique(np.concatenate([problem.positive_scores[j],
+                                             problem.negative_scores[j]]))]
+        for j in range(problem.num_classifiers)
+    ]
+    return min(
+        compute_loss(problem, combo)
+        for combo in itertools.product(*grids)
+        if check_feasible(problem, combo)
+    )
 
 
 @pytest.fixture

@@ -21,8 +21,6 @@ from calib import (
     UnknownClassifier,
     apply_map,
     calibrated_matrix,
-    calibrated_score,
-    ensemble_calibrated_score,
     ensemble_scores,
     fit_affine,
     fit_independent_sigmoid,
@@ -145,7 +143,7 @@ def test_joint_sigmoid_uses_assignment_sets(toy):
     assert model.maps[1].degenerate
     # its constant map sits at the smoothed negative target 1/(3+2)
     assert model.maps[1].constant == pytest.approx(0.2)
-    assert calibrated_score(model, 1, 100.0) == pytest.approx(0.2)
+    assert calibrated_matrix(model, [[0.0], [100.0]])[1, 0] == pytest.approx(0.2)
 
 
 def test_joint_fits_reject_infeasible(toy):
@@ -221,7 +219,7 @@ def test_joint_thresholds_model_scores_margin(toy):
     s = ensemble_scores(model, toy.positive_scores)
     # every training positive has positive margin under the feasible config
     assert (s > 0).all()
-    assert ensemble_calibrated_score(model, [5.0, 0.5]) == pytest.approx(3.75)
+    assert ensemble_scores(model, np.array([[5.0], [0.5]]))[0] == pytest.approx(3.75)
 
 
 def test_ensemble_is_max_of_calibrated_columns(toy):
@@ -233,11 +231,14 @@ def test_ensemble_is_max_of_calibrated_columns(toy):
 def test_shape_guards(toy):
     model = fit_isotonic(toy)
     with pytest.raises(UnknownClassifier):
-        calibrated_score(model, 5, 1.0)
+        calibrated_matrix(model, [1.0, 2.0])  # one sample, not an (E, M) matrix
     with pytest.raises(UnknownClassifier):
         calibrated_matrix(model, np.zeros((3, 4)))
     with pytest.raises(UnknownClassifier):
-        ensemble_calibrated_score(model, [1.0, 2.0, 3.0])
+        ensemble_scores(model, np.zeros((3, 1)))
+    with pytest.raises(UnknownClassifier):
+        ensemble_scores(model, [1.0, 2.0])
+    assert ensemble_scores(model, np.zeros((2, 0))).shape == (0,)
 
 
 def test_sigmoid_clip_handles_extreme_scores():

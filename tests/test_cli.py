@@ -7,9 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from calib import load_model, load_problem, load_solution, save_problem
+from calib import Problem, load_model, load_problem, load_solution, save_problem
 
 from conftest import small_problem
 
@@ -242,6 +243,40 @@ def test_calibrate_infinite_cutoff_keeps_every_sample(tmp_path):
     argv = ["calibrate", str(GOLDEN), "--method", "independent-sigmoid", "--cutoff=-inf"]
     assert run(*argv, "--out", str(out)).returncode == 0
     assert load_model(out).degenerate == ()
+
+
+@pytest.mark.parametrize("cutoff", ["-inf", "-1e-3", "-1E2"])
+def test_calibrate_negative_float_is_a_value(tmp_path, cutoff):
+    out = tmp_path / "m.json"
+    argv = ["calibrate", str(GOLDEN), "--method", "independent-sigmoid", "--cutoff", cutoff]
+    res = run(*argv, "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    assert load_model(out).num_classifiers == 2
+
+
+def test_generate_negative_float_reaches_validation(tmp_path):
+    res = run("generate", *GOLDEN_ARGS, "--spread", "-1e-3", "--out", str(tmp_path / "p.json"))
+    assert res.returncode == 2
+    assert "InvalidSpec" in res.stderr
+
+
+@pytest.mark.parametrize("pos, neg, code, loss", [
+    (1.0, 0.9999999999999999, 0, 0),
+    (1.6e308, 1.5e308, 0, 0),
+    (1e17, 2e17, 0, 1),
+    (-1.7976931348623157e308, 0.0, 2, None),
+], ids=["adjacent", "overflow", "absorbed-floor", "lowest-float"])
+def test_solve_extreme_scores(tmp_path, pos, neg, code, loss):
+    problem, out = tmp_path / "p.json", tmp_path / "s.json"
+    save_problem(Problem(np.array([[pos]]), np.array([[neg]])), problem)
+    res = run("solve", str(problem), "--out", str(out))
+    assert res.returncode == code
+    assert "Traceback" not in res.stderr
+    if code == 2:
+        assert "ValidationError" in res.stderr and not out.exists()
+    else:
+        assert load_solution(out).loss == loss
+        assert "Infinity" not in out.read_text()
 
 
 def test_calibrate_joint_without_solution_exits_1(tmp_path):

@@ -12,6 +12,7 @@ from calib import (
     Problem,
     compute_loss,
     cover,
+    difficulty_order,
     extract_candidates,
 )
 
@@ -127,7 +128,7 @@ def test_random_walk_apply_undo_round_trip(seed):
     for _ in range(30):
         j = rng.randrange(prob.num_classifiers)
         cur = st.positions[j]
-        hi = len(st.candidates[j]) - 1
+        hi = len(st.grid[j]) - 1
         if cur == hi and rng.random() < 0.5 and st.journal:
             st.undo_edge()
             steps -= 1
@@ -143,7 +144,7 @@ def test_random_walk_apply_undo_round_trip(seed):
         assert np.array_equal(fp_bits(st) & ~before_neg, newly_bits)
         assert fp == compute_loss(prob, st.config())
         # newly is the edge's row minus what was already covered
-        row = prob.negative_scores[j] > st.candidates[j].thresholds[target]
+        row = prob.negative_scores[j] > st.grid[j][target]
         assert np.array_equal(newly_bits, row & ~before_neg)
         theta = np.array(st.config())[:, None]
         covered = (prob.positive_scores > theta).any(axis=0).tolist()
@@ -161,13 +162,15 @@ def test_random_walk_apply_undo_round_trip(seed):
 
 @pytest.mark.parametrize("seed", range(25))
 def test_rows_match_threshold_rule(seed):
-    """Every reachable row is exactly the negatives scoring above its candidate."""
+    """Every reachable row is exactly the negatives scoring above its candidate,
+    and its cost is their count."""
     prob = small_problem(seed)
     st = make_state(prob)
     for j in range(prob.num_classifiers):
-        for t, theta in enumerate(st.candidates[j].thresholds):
+        for t, theta in enumerate(st.grid[j]):
             expected = prob.negative_scores[j] > theta
             assert np.array_equal(bits(st.rows[j, t], prob.num_negatives), expected)
+            assert st.cost[j, t] == expected.sum()
 
 
 def test_rows_do_not_depend_on_block_size(monkeypatch):
@@ -176,6 +179,7 @@ def test_rows_do_not_depend_on_block_size(monkeypatch):
     monkeypatch.setattr(cover, "_BLOCK_BYTES", 1)  # one classifier per block
     blocked = make_state(prob)
     assert np.array_equal(blocked.rows, whole.rows)
+    assert np.array_equal(blocked.cost, whole.cost)
     assert np.array_equal(blocked.cover_position, whole.cover_position)
 
 
@@ -187,7 +191,7 @@ def test_array_peek_equals_scalar_peeks(seed):
     E = prob.num_classifiers
 
     def looser(j):
-        return rng.randint(st.positions[j], len(st.candidates[j]) - 1)
+        return rng.randint(st.positions[j], len(st.grid[j]) - 1)
 
     for _ in range(3):
         j = rng.randrange(E)
@@ -210,6 +214,8 @@ def test_no_negatives_costs_nothing():
         negative_scores=np.zeros((2, 0)),
     )
     st = make_state(p)
+    assert st.cost.tolist() == [[0], [0]]
+    assert difficulty_order(st)[0].tolist() == [0, 0]
     incs, newly = st.peek_edge(np.arange(2), st.cover_position[:, 0])
     assert incs.tolist() == [0, 0] and newly.shape == (2, 0)
     assert st.apply_edge(0, int(st.cover_position[0, 0])) == 0

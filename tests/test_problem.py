@@ -1,22 +1,26 @@
 """Problem container, loss/feasibility primitives, JSON round trips."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from calib import (
+    CalibrationModel,
     InfeasibleSolution,
     Problem,
     ROOT_COVERED,
     SearchStats,
+    ShiftParams,
     Solution,
     ThresholdConfig,
     ValidationError,
     check_feasible,
     compute_loss,
     derive_assignment,
-    ensemble_score,
+    ensemble_scores,
     load_problem,
     load_solution,
     save_problem,
@@ -65,11 +69,11 @@ def test_loss_counts_union_not_sum():
 
 
 def test_ensemble_score_max_of_shifted():
-    cfg = ThresholdConfig((1.0, 3.0))
-    assert ensemble_score([2.0, 4.0], cfg) == 1.0
-    assert ensemble_score([2.0, 2.0], cfg) == 1.0
+    model = CalibrationModel("joint-thresholds", (ShiftParams(1.0), ShiftParams(3.0)))
+    # one column per sample: (2, 4), (2, 2) and (1, 3)
+    samples = np.array([[2.0, 2.0, 1.0], [4.0, 2.0, 3.0]])
     # a sample exactly at every threshold scores 0, i.e. NOT positive
-    assert ensemble_score([1.0, 3.0], cfg) == 0.0
+    assert ensemble_scores(model, samples).tolist() == [1.0, 1.0, 0.0]
 
 
 def test_derive_assignment_smallest_index(toy):
@@ -115,6 +119,16 @@ def test_solution_round_trip(tmp_path):
     )
     path = tmp_path / "s.json"
     save_solution(sol, path)
+    # The stats keys are SearchStats' fields, in field order.
+    assert list(json.loads(path.read_text())["stats"].items()) == [
+        ("nodes_visited", 3),
+        ("nodes_pruned_bound", 2),
+        ("nodes_pruned_equivalence", 0),
+        ("positives_removed_by_root", 0),
+        ("levels", 2),
+        ("wall_time_ms", 0.125),
+        ("incumbent_history", [[0.05, 4], [0.08, 2]]),
+    ]
     back = load_solution(path)
     assert back.config.thresholds == (1.25, 4.2)
     assert back.loss == 2

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from calib import (
+    CoverState,
     GenerateSpec,
     Problem,
     ROOT_COVERED,
@@ -47,21 +48,25 @@ def test_exact_free_cover(toy_free):
     assert sol.stats.nodes_visited == 1  # the root is the only leaf
 
 
+def root_state(problem):
+    return CoverState(problem, extract_candidates(problem))
+
+
 def test_reduce_depth(toy, toy_free):
     # toy_free: the tightest candidates (4.25, 2.65) already cover both
-    spec = plan_tree(toy_free, SearchOptions())
+    spec = plan_tree(root_state(toy_free), SearchOptions())
     assert spec.level_positives == [] and spec.root_covered == [0, 1]
-    spec = plan_tree(toy, SearchOptions())
+    spec = plan_tree(root_state(toy), SearchOptions())
     assert spec.level_positives == [0, 1] and spec.root_covered == []
-    spec = plan_tree(toy_free, SearchOptions(enable_depth_reduction=False))
+    spec = plan_tree(root_state(toy_free), SearchOptions(enable_depth_reduction=False))
     assert spec.level_positives == [0, 1] and spec.root_covered == []
 
 
 def test_plan_tree_orderings(toy):
-    spec = plan_tree(toy, SearchOptions())
+    spec = plan_tree(root_state(toy), SearchOptions())
     assert spec.level_positives == [0, 1]
     shuffled = plan_tree(
-        toy,
+        root_state(toy),
         SearchOptions(enable_difficulty_order=False, random_order_seed=3),
     )
     assert sorted(shuffled.level_positives) == [0, 1]
@@ -107,8 +112,8 @@ def test_assignment_points_at_covering_classifier():
         for p, a in enumerate(sol.assignment):
             s = prob.positive_scores[:, p]
             if a == ROOT_COVERED:
-                cands = extract_candidates(prob)
-                assert any(s[j] > c.tightest for j, c in enumerate(cands.per_classifier))
+                tightest = extract_candidates(prob).thresholds[:, 0]
+                assert (s > tightest).any()
             else:
                 assert s[a] > theta[a]
 
