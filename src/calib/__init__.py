@@ -9,10 +9,10 @@ that joint operating point against per-classifier calibration baselines.
 from .calibrators import (
     AffineParams,
     CalibrationModel,
+    ConstantParams,
     IsotonicParams,
     ShiftParams,
     SigmoidParams,
-    apply_map,
     calibrated_matrix,
     ensemble_scores,
     fit_affine,
@@ -31,7 +31,6 @@ from .errors import (
     DegenerateVariance,
     DimensionMismatch,
     EmptyJournal,
-    EmptyPositives,
     InfeasibleSolution,
     InvalidSpec,
     IoError,
@@ -60,7 +59,6 @@ from .problem import (
     ROOT_COVERED,
     SearchStats,
     Solution,
-    ThresholdConfig,
     check_feasible,
     compute_loss,
     derive_assignment,

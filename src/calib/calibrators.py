@@ -22,31 +22,46 @@ from .errors import (
 from .problem import Problem, Solution, _read_json, _write_json, check_feasible
 from .synthgen import CounterRng
 
-METHODS = (
-    "independent-sigmoid",
-    "joint-sigmoid",
-    "isotonic",
-    "affine",
-    "joint-thresholds",
-)
-
 NEWTON_MAX_ITER = 100
 NEWTON_GRAD_TOL = 1e-10
 AFFINE_SAMPLE_COUNT = 200_000
 
 
+# ---------------------------------------------------------------------------
+# Per-classifier maps.  Each is a frozen dataclass named in files by its
+# `kind` and applied to a score array by calling it.
+# ---------------------------------------------------------------------------
+
+
+class _FloatFields:
+    """Coerces every field to float, so a map read from a file is checked."""
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            object.__setattr__(self, name, float(value))
+
+
 @dataclass(frozen=True)
-class SigmoidParams:
-    """score -> 1 / (1 + exp(a * score + b)); increasing when a < 0.
+class SigmoidParams(_FloatFields):
+    """score -> 1 / (1 + exp(a * score + b)); increasing when a < 0."""
 
-    Degenerate classifiers (no positives to fit on) carry a constant map at
-    the smoothed negative target instead.
-    """
-
+    kind = "sigmoid"
     a: float
     b: float
-    degenerate: bool = False
-    constant: float = 0.0
+
+    def __call__(self, scores: np.ndarray) -> np.ndarray:
+        return 1.0 / (1.0 + np.exp(np.clip(self.a * scores + self.b, -500, 500)))
+
+
+@dataclass(frozen=True)
+class ConstantParams(_FloatFields):
+    """score -> value; a classifier left with no positives to fit a sigmoid on."""
+
+    kind = "constant"
+    value: float
+
+    def __call__(self, scores: np.ndarray) -> np.ndarray:
+        return np.full(np.shape(scores), self.value)
 
 
 @dataclass(frozen=True)
@@ -55,41 +70,98 @@ class IsotonicParams:
 
     breakpoints are the distinct training scores ascending; prediction takes
     the value of the nearest breakpoint at or below the query, clamped to
-    the first value below the range.
+    the first value below the range.  Raises ValidationError unless there
+    are as many values as breakpoints, at least one of each, and the
+    breakpoints strictly ascend.
     """
 
+    kind = "isotonic"
     breakpoints: tuple[float, ...]
     values: tuple[float, ...]
 
+    def __post_init__(self):
+        bp = tuple(float(x) for x in self.breakpoints)
+        vals = tuple(float(v) for v in self.values)
+        if not bp or len(bp) != len(vals):
+            raise ValidationError(
+                f"isotonic map has {len(bp)} breakpoints and {len(vals)} values"
+            )
+        if not (np.diff(bp) > 0.0).all():
+            raise ValidationError("isotonic breakpoints must strictly ascend")
+        object.__setattr__(self, "breakpoints", bp)
+        object.__setattr__(self, "values", vals)
+
+    def __call__(self, scores: np.ndarray) -> np.ndarray:
+        idx = np.searchsorted(self.breakpoints, scores, side="right") - 1
+        return np.asarray(self.values)[np.maximum(idx, 0)]
+
 
 @dataclass(frozen=True)
-class AffineParams:
+class AffineParams(_FloatFields):
     """score -> a * score + b with a > 0 (negatives standardized)."""
 
+    kind = "affine"
     a: float
     b: float
 
+    def __call__(self, scores: np.ndarray) -> np.ndarray:
+        return self.a * scores + self.b
+
 
 @dataclass(frozen=True)
-class ShiftParams:
+class ShiftParams(_FloatFields):
     """score -> score - threshold; the raw jointly calibrated margin."""
 
+    kind = "shift"
     threshold: float
+
+    def __call__(self, scores: np.ndarray) -> np.ndarray:
+        return scores - self.threshold
+
+
+MAP_KINDS = {
+    cls.kind: cls
+    for cls in (SigmoidParams, ConstantParams, IsotonicParams, AffineParams, ShiftParams)
+}
+
+# The map types each method's models may hold.
+METHODS = {
+    "independent-sigmoid": (SigmoidParams, ConstantParams),
+    "joint-sigmoid": (SigmoidParams, ConstantParams),
+    "isotonic": (IsotonicParams,),
+    "affine": (AffineParams,),
+    "joint-thresholds": (ShiftParams,),
+}
+# Methods fitted on a joint solution.
+JOINT_METHODS = ("joint-sigmoid", "joint-thresholds")
 
 
 @dataclass(frozen=True)
 class CalibrationModel:
+    """One map per classifier; raises ValidationError for an unknown method
+    or a map its method cannot produce."""
+
     method: str
     maps: tuple
-    degenerate: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.method not in METHODS:
-            raise ValueError(f"unknown calibration method {self.method!r}")
+            raise ValidationError(f"unknown calibration method {self.method!r}")
+        for j, m in enumerate(self.maps):
+            if not isinstance(m, METHODS[self.method]):
+                raise ValidationError(
+                    f"classifier {j}: a {self.method} model cannot hold "
+                    f"a {type(m).__name__} map"
+                )
 
     @property
     def num_classifiers(self) -> int:
         return len(self.maps)
+
+    @property
+    def degenerate(self) -> tuple[int, ...]:
+        """Classifiers with a constant map, flagged for removal."""
+        return tuple(j for j, m in enumerate(self.maps) if isinstance(m, ConstantParams))
 
 
 # ---------------------------------------------------------------------------
@@ -145,17 +217,22 @@ def _fit_sigmoid(scores: np.ndarray, targets: np.ndarray) -> tuple[float, float]
     return a, b
 
 
-def _sigmoid_map(
-    pos_scores: np.ndarray, neg_scores: np.ndarray
-) -> tuple[SigmoidParams, bool]:
-    n_pos, n_neg = len(pos_scores), len(neg_scores)
-    t_pos, t_neg = smoothed_targets(n_pos, n_neg)
-    if n_pos == 0:
-        return SigmoidParams(0.0, 0.0, degenerate=True, constant=t_neg), True
-    scores = np.concatenate([pos_scores, neg_scores])
-    targets = np.concatenate([np.full(n_pos, t_pos), np.full(n_neg, t_neg)])
-    a, b = _fit_sigmoid(scores, targets)
-    return SigmoidParams(a, b), False
+def _fit_sigmoids(method: str, pos_sets, neg_sets) -> CalibrationModel:
+    """One sigmoid per classifier on its (positives, negatives) pair.
+
+    A classifier with no positives gets the constant map at the smoothed
+    negative target instead.
+    """
+    maps = []
+    for pos, neg in zip(pos_sets, neg_sets):
+        t_pos, t_neg = smoothed_targets(len(pos), len(neg))
+        if len(pos) == 0:
+            maps.append(ConstantParams(t_neg))
+            continue
+        scores = np.concatenate([pos, neg])
+        targets = np.concatenate([np.full(len(pos), t_pos), np.full(len(neg), t_neg)])
+        maps.append(SigmoidParams(*_fit_sigmoid(scores, targets)))
+    return CalibrationModel(method, tuple(maps))
 
 
 def fit_independent_sigmoid(problem: Problem, cutoff: float = -1.0) -> CalibrationModel:
@@ -163,21 +240,16 @@ def fit_independent_sigmoid(problem: Problem, cutoff: float = -1.0) -> Calibrati
 
     Samples at or below the margin cutoff are dropped before fitting, per
     classifier; a classifier retaining no positives gets the degenerate
-    constant map and is flagged.  A NaN cutoff, which would drop every
-    sample, raises ValidationError; -inf keeps them all.
+    constant map.  A NaN cutoff, which would drop every sample, raises
+    ValidationError; -inf keeps them all.
     """
     if np.isnan(cutoff):
         raise ValidationError("cutoff must not be NaN")
-    maps = []
-    degenerate = []
-    for j in range(problem.num_classifiers):
-        pos = problem.positive_scores[j]
-        neg = problem.negative_scores[j]
-        params, is_degenerate = _sigmoid_map(pos[pos > cutoff], neg[neg > cutoff])
-        maps.append(params)
-        if is_degenerate:
-            degenerate.append(j)
-    return CalibrationModel("independent-sigmoid", tuple(maps), tuple(degenerate))
+    return _fit_sigmoids(
+        "independent-sigmoid",
+        [pos[pos > cutoff] for pos in problem.positive_scores],
+        [neg[neg > cutoff] for neg in problem.negative_scores],
+    )
 
 
 def fit_joint_sigmoid(problem: Problem, solution: Solution) -> CalibrationModel:
@@ -185,22 +257,17 @@ def fit_joint_sigmoid(problem: Problem, solution: Solution) -> CalibrationModel:
 
     Positives for classifier j are exactly those scoring above its joint
     threshold; negatives are the full negative set.  Classifiers whose set
-    is empty (redundant in the ensemble) get the degenerate map and are
-    flagged for removal.
+    is empty (redundant in the ensemble) get the degenerate constant map.
     """
     if not check_feasible(problem, solution.config):
         raise InfeasibleSolution("joint sigmoid needs a feasible solution")
-    theta = np.asarray(tuple(solution.config))
+    theta = np.asarray(solution.config, dtype=np.float64)
     assigned = problem.positive_scores > theta[:, None]
-    maps = []
-    degenerate = []
-    for j in range(problem.num_classifiers):
-        pos = problem.positive_scores[j][assigned[j]]
-        params, is_degenerate = _sigmoid_map(pos, problem.negative_scores[j])
-        maps.append(params)
-        if is_degenerate:
-            degenerate.append(j)
-    return CalibrationModel("joint-sigmoid", tuple(maps), tuple(degenerate))
+    return _fit_sigmoids(
+        "joint-sigmoid",
+        [pos[mask] for pos, mask in zip(problem.positive_scores, assigned)],
+        problem.negative_scores,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -229,29 +296,17 @@ def pava(values: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
 
 def fit_isotonic(problem: Problem) -> CalibrationModel:
     """Non-decreasing step fit of the 0/1 label against each classifier's score."""
+    labels = np.concatenate([np.ones(problem.num_positives), np.zeros(problem.num_negatives)])
     maps = []
-    for j in range(problem.num_classifiers):
-        scores = np.concatenate(
-            [problem.positive_scores[j], problem.negative_scores[j]]
-        )
-        labels = np.concatenate(
-            [
-                np.ones(problem.num_positives),
-                np.zeros(problem.num_negatives),
-            ]
-        )
+    for pos, neg in zip(problem.positive_scores, problem.negative_scores):
+        scores = np.concatenate([pos, neg])
         order = np.argsort(scores, kind="stable")
         xs, start = np.unique(scores[order], return_index=True)
         # Pool exact score ties before PAVA: one weighted point per distinct x.
         sums = np.add.reduceat(labels[order], start)
         counts = np.diff(np.append(start, len(scores)))
         fitted = pava(sums / counts, counts.astype(np.float64))
-        maps.append(
-            IsotonicParams(
-                breakpoints=tuple(float(x) for x in xs),
-                values=tuple(float(v) for v in fitted),
-            )
-        )
+        maps.append(IsotonicParams(breakpoints=xs.tolist(), values=fitted.tolist()))
     return CalibrationModel("isotonic", tuple(maps))
 
 
@@ -307,26 +362,6 @@ def fit_joint_thresholds(problem: Problem, solution: Solution) -> CalibrationMod
 # ---------------------------------------------------------------------------
 
 
-def apply_map(params, scores: np.ndarray) -> np.ndarray:
-    """Vectorized single-classifier calibrated scores."""
-    s = np.asarray(scores, dtype=np.float64)
-    if isinstance(params, SigmoidParams):
-        if params.degenerate:
-            return np.full_like(s, params.constant)
-        z = np.clip(params.a * s + params.b, -500, 500)
-        return 1.0 / (1.0 + np.exp(z))
-    if isinstance(params, IsotonicParams):
-        bp = np.asarray(params.breakpoints)
-        vals = np.asarray(params.values)
-        idx = np.clip(np.searchsorted(bp, s, side="right") - 1, 0, len(bp) - 1)
-        return vals[idx]
-    if isinstance(params, AffineParams):
-        return params.a * s + params.b
-    if isinstance(params, ShiftParams):
-        return s - params.threshold
-    raise TypeError(f"unknown parameter block {type(params).__name__}")
-
-
 def calibrated_matrix(model: CalibrationModel, scores: np.ndarray) -> np.ndarray:
     """Apply per-classifier maps to an (E, M) score matrix."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -335,9 +370,7 @@ def calibrated_matrix(model: CalibrationModel, scores: np.ndarray) -> np.ndarray
             f"score matrix has {scores.shape[0] if scores.ndim == 2 else '?'} rows, "
             f"model has {model.num_classifiers} classifiers"
         )
-    return np.stack(
-        [apply_map(m, scores[j]) for j, m in enumerate(model.maps)]
-    )
+    return np.stack([m(row) for m, row in zip(model.maps, scores)])
 
 
 def ensemble_scores(model: CalibrationModel, scores: np.ndarray) -> np.ndarray:
@@ -346,48 +379,21 @@ def ensemble_scores(model: CalibrationModel, scores: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Model files.
+# Model files.  A map is stored as {"kind": ..., **its fields}.  The
+# "degenerate" list is written for readers of the file; loading reads it
+# off the constant maps instead.
 # ---------------------------------------------------------------------------
 
 MODEL_FORMAT_VERSION = 1
-
-
-def _map_to_doc(params) -> dict:
-    if isinstance(params, SigmoidParams):
-        if params.degenerate:
-            return {"kind": "constant", "value": params.constant}
-        return {"kind": "sigmoid", "a": params.a, "b": params.b}
-    if isinstance(params, IsotonicParams):
-        return {
-            "kind": "isotonic",
-            "breakpoints": list(params.breakpoints),
-            "values": list(params.values),
-        }
-    if isinstance(params, AffineParams):
-        return {"kind": "affine", "a": params.a, "b": params.b}
-    if isinstance(params, ShiftParams):
-        return {"kind": "shift", "threshold": params.threshold}
-    raise TypeError(f"unknown parameter block {type(params).__name__}")
 
 
 def _map_from_doc(doc: dict):
     if not isinstance(doc, dict):
         raise ParseError(f"classifier map {doc!r} is not an object")
     kind = doc.get("kind")
-    if kind == "constant":
-        return SigmoidParams(0.0, 0.0, degenerate=True, constant=float(doc["value"]))
-    if kind == "sigmoid":
-        return SigmoidParams(float(doc["a"]), float(doc["b"]))
-    if kind == "isotonic":
-        return IsotonicParams(
-            breakpoints=tuple(float(x) for x in doc["breakpoints"]),
-            values=tuple(float(v) for v in doc["values"]),
-        )
-    if kind == "affine":
-        return AffineParams(float(doc["a"]), float(doc["b"]))
-    if kind == "shift":
-        return ShiftParams(float(doc["threshold"]))
-    raise ParseError(f"unknown classifier map kind {kind!r}")
+    if kind not in MAP_KINDS:
+        raise ParseError(f"unknown classifier map kind {kind!r}")
+    return MAP_KINDS[kind](**{k: v for k, v in doc.items() if k != "kind"})
 
 
 def save_model(model: CalibrationModel, path) -> None:
@@ -395,7 +401,8 @@ def save_model(model: CalibrationModel, path) -> None:
         "version": MODEL_FORMAT_VERSION,
         "method": model.method,
         "num_classifiers": model.num_classifiers,
-        "classifiers": [_map_to_doc(m) for m in model.maps],
+        # vars, not asdict: asdict deep-copies every isotonic breakpoint.
+        "classifiers": [{"kind": m.kind, **vars(m)} for m in model.maps],
         "degenerate": list(model.degenerate),
     }
     _write_json(doc, path)
@@ -409,10 +416,6 @@ def load_model(path) -> CalibrationModel:
         maps = tuple(_map_from_doc(m) for m in doc["classifiers"])
         if len(maps) != doc["num_classifiers"]:
             raise ParseError("num_classifiers does not match classifier list")
-        return CalibrationModel(
-            method=doc["method"],
-            maps=maps,
-            degenerate=tuple(int(j) for j in doc.get("degenerate", [])),
-        )
-    except (KeyError, TypeError, ValueError) as e:
+        return CalibrationModel(method=doc["method"], maps=maps)
+    except (KeyError, TypeError, ValueError, ValidationError) as e:
         raise ParseError(f"{path}: malformed model file: {e}") from e

@@ -17,7 +17,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .calibrators import AFFINE_SAMPLE_COUNT, METHODS, load_model, save_model
+from .calibrators import AFFINE_SAMPLE_COUNT, JOINT_METHODS, METHODS, load_model, save_model
 from .errors import CalibError, InvalidSpec, TooLarge
 from .evaluation import average_precision, fit_method, fp_at_recall, pr_curve
 from .oracle import oracle_solve
@@ -30,7 +30,6 @@ from .problem import (
     save_solution,
     SearchStats,
     Solution,
-    ThresholdConfig,
 )
 from .search import (
     ABLATIONS,
@@ -216,7 +215,7 @@ def _cmd_oracle(args) -> int:
     result = oracle_solve(problem, cap=args.cap)
     print(json.dumps({
         "loss": result.loss,
-        "thresholds": list(result.config.thresholds),
+        "thresholds": list(result.config),
         "enumerated": result.enumerated,
     }))
     if args.out:
@@ -235,7 +234,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_calibrate(args) -> int:
     problem = load_problem(args.problem)
     solution = None
-    if args.method in ("joint-sigmoid", "joint-thresholds"):
+    if args.method in JOINT_METHODS:
         if not args.solution:
             print(f"calib calibrate: error: --method {args.method} requires "
                   "--solution", file=sys.stderr)

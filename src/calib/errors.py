@@ -41,10 +41,6 @@ class DegenerateVariance(CalibError):
     """All sampled negative scores are equal; affine standardization undefined."""
 
 
-class EmptyPositives(CalibError):
-    """A metric that needs at least one positive sample got none."""
-
-
 class UnreachableRecall(CalibError):
     """No operating threshold reaches the requested recall."""
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from .calibrators import (
     AFFINE_SAMPLE_COUNT,
+    JOINT_METHODS,
     CalibrationModel,
     ensemble_scores,
     fit_affine,
@@ -23,12 +24,7 @@ from .calibrators import (
     fit_joint_sigmoid,
     fit_joint_thresholds,
 )
-from .errors import (
-    DimensionMismatch,
-    EmptyPositives,
-    UnreachableRecall,
-    ValidationError,
-)
+from .errors import DimensionMismatch, UnreachableRecall, ValidationError
 from .problem import Problem, Solution, _thresholds_array
 from .search import SearchOptions, solve_exact
 
@@ -36,8 +32,6 @@ from .search import SearchOptions, solve_exact
 def recall_at_thresholds(problem: Problem, config) -> float:
     """Fraction of positives scored positively (margin > 0) under config."""
     theta = _thresholds_array(problem, config)
-    if problem.num_positives == 0:
-        raise EmptyPositives("recall over zero positives")
     margins = problem.positive_scores - theta[:, None]
     return float(np.count_nonzero(margins.max(axis=0) > 0.0)) / problem.num_positives
 
@@ -63,8 +57,6 @@ def fp_at_recall(problem: Problem, model: CalibrationModel, target: float) -> Fp
     and the target is ignored: the thresholds themselves decide the recall,
     which is reported for use as other methods' target.
     """
-    if problem.num_positives == 0:
-        raise EmptyPositives("recall over zero positives")
     pos = ensemble_scores(model, problem.positive_scores)
     neg = ensemble_scores(model, problem.negative_scores)
     if model.method == "joint-thresholds":
@@ -97,8 +89,6 @@ def _ranked(pos: np.ndarray, neg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def average_precision(problem: Problem, model: CalibrationModel) -> float:
     """All-point AP of the ensemble ranking, pessimistic on ties."""
-    if problem.num_positives == 0:
-        raise EmptyPositives("AP over zero positives")
     pos = ensemble_scores(model, problem.positive_scores)
     neg = ensemble_scores(model, problem.negative_scores)
     _, labels = _ranked(pos, neg)
@@ -118,8 +108,6 @@ class CurvePoint:
 
 def pr_curve(problem: Problem, model: CalibrationModel) -> list[CurvePoint]:
     """Precision-recall staircase over the full ranking, one point per sample."""
-    if problem.num_positives == 0:
-        raise EmptyPositives("PR curve over zero positives")
     pos = ensemble_scores(model, problem.positive_scores)
     neg = ensemble_scores(model, problem.negative_scores)
     scores, labels = _ranked(pos, neg)
@@ -168,17 +156,17 @@ def fit_method(
     called through this module's name for it, so a wrapper installed there
     sees every fit.
     """
+    if method in JOINT_METHODS and solution is None:
+        raise ValidationError(f"method {method!r} needs a solution")
     if method == "independent-sigmoid":
         return fit_independent_sigmoid(train, cutoff=cutoff)
+    if method == "joint-sigmoid":
+        return fit_joint_sigmoid(train, solution)
     if method == "isotonic":
         return fit_isotonic(train)
     if method == "affine":
         return fit_affine(train, sample_count=sample_count, seed=seed)
-    if method in ("joint-sigmoid", "joint-thresholds"):
-        if solution is None:
-            raise ValidationError(f"method {method!r} needs a solution")
-        if method == "joint-sigmoid":
-            return fit_joint_sigmoid(train, solution)
+    if method == "joint-thresholds":
         return fit_joint_thresholds(train, solution)
     raise ValidationError(f"unknown method {method!r}")
 
@@ -204,8 +192,7 @@ def compare_methods(
             f"train has {train.num_classifiers} classifiers, "
             f"test has {test.num_classifiers}"
         )
-    needs_solution = any(m in ("joint-sigmoid", "joint-thresholds") for m in methods)
-    if needs_solution and solution is None:
+    if solution is None and any(m in JOINT_METHODS for m in methods):
         solution = solve_exact(train, SearchOptions(budget_ms=budget_ms))
 
     if solution is not None:

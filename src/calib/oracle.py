@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import TooLarge, ValidationError
-from .problem import Problem, ThresholdConfig
+from .problem import Problem
 from .thresholds import extract_candidates
 
 GRID_CAP = 10_000_000
@@ -19,7 +19,7 @@ GRID_CAP = 10_000_000
 
 @dataclass(frozen=True)
 class OracleResult:
-    config: ThresholdConfig
+    config: tuple[float, ...]
     loss: int
     enumerated: int
 
@@ -103,6 +103,4 @@ def oracle_solve(problem: Problem, cap: int = GRID_CAP) -> OracleResult:
     descend(0, 0, 0)
     assert best_loss is not None and best_values is not None
     assert enumerated == total
-    return OracleResult(
-        config=ThresholdConfig(best_values), loss=best_loss, enumerated=enumerated
-    )
+    return OracleResult(config=best_values, loss=best_loss, enumerated=enumerated)

@@ -114,27 +114,6 @@ class Problem:
         return self.negative_scores.shape[1]
 
 
-@dataclass(frozen=True)
-class ThresholdConfig:
-    """One threshold per classifier; the decision variable of the problem."""
-
-    thresholds: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "thresholds", tuple(float(t) for t in self.thresholds)
-        )
-
-    def __len__(self) -> int:
-        return len(self.thresholds)
-
-    def __iter__(self):
-        return iter(self.thresholds)
-
-    def __getitem__(self, j: int) -> float:
-        return self.thresholds[j]
-
-
 @dataclass
 class SearchStats:
     """Instrumentation counters for one search run.
@@ -159,15 +138,16 @@ class SearchStats:
 class Solution:
     """A feasible threshold configuration with bookkeeping.
 
-    ``assignment`` has one entry per positive (original column order): the
-    0-based index of the classifier responsible for covering it, or the
-    string marker ``"root-covered"`` for positives already satisfied by the
-    all-tightest root configuration.  ``optimal`` is True only when the
+    ``config`` holds one threshold per classifier, the decision variable of
+    the problem.  ``assignment`` has one entry per positive (original column
+    order): the 0-based index of the classifier responsible for covering it,
+    or the string marker ``"root-covered"`` for positives already satisfied
+    by the all-tightest root configuration.  ``optimal`` is True only when the
     search exhausted the tree; ``fallback`` marks the all-lowest emergency
     config returned when a budget expired before the first leaf.
     """
 
-    config: ThresholdConfig
+    config: tuple[float, ...]
     loss: int
     assignment: list[int | str]
     optimal: bool
@@ -176,10 +156,7 @@ class Solution:
 
 
 def _thresholds_array(problem: Problem, config) -> np.ndarray:
-    theta = np.asarray(
-        config.thresholds if isinstance(config, ThresholdConfig) else config,
-        dtype=np.float64,
-    )
+    theta = np.asarray(config, dtype=np.float64)
     if theta.ndim != 1 or theta.shape[0] != problem.num_classifiers:
         raise DimensionMismatch(
             f"config has {theta.size} thresholds, problem has "
@@ -323,7 +300,7 @@ def save_problem(problem: Problem, path) -> None:
 def save_solution(solution: Solution, path) -> None:
     stats = solution.stats
     doc = {
-        "thresholds": list(solution.config.thresholds),
+        "thresholds": list(solution.config),
         "loss": solution.loss,
         "assignment": list(solution.assignment),
         "optimal": solution.optimal,
@@ -353,7 +330,7 @@ def load_solution(path) -> Solution:
             else:
                 raise ParseError(f"bad assignment entry {a!r}")
         return Solution(
-            config=ThresholdConfig(tuple(float(t) for t in doc["thresholds"])),
+            config=tuple(float(t) for t in doc["thresholds"]),
             loss=int(doc["loss"]),
             assignment=assignment,
             optimal=bool(doc["optimal"]),

@@ -25,7 +25,6 @@ from .problem import (
     Problem,
     SearchStats,
     Solution,
-    ThresholdConfig,
     check_feasible,
     compute_loss,
     derive_assignment,
@@ -246,7 +245,7 @@ def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solut
         # always-feasible all-lowest configuration.
         config = grid.lowest_config()
         return Solution(
-            config=ThresholdConfig(config),
+            config=config,
             loss=compute_loss(problem, config),
             assignment=derive_assignment(problem, config),
             optimal=False,
@@ -257,7 +256,7 @@ def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solut
     assert all(a is not None for a in best_assignment)
     assert best_loss == compute_loss(problem, best_config)
     return Solution(
-        config=ThresholdConfig(best_config),
+        config=best_config,
         loss=best_loss,
         assignment=best_assignment,
         optimal=within_budget,

@@ -1,6 +1,7 @@
 """Score-map calibrators: PAVA, Platt sigmoid, affine, joint wrappers."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from calib import (
     AffineParams,
+    CalibrationModel,
+    ConstantParams,
     DegenerateVariance,
     InfeasibleSolution,
     IsotonicParams,
@@ -17,9 +20,8 @@ from calib import (
     ShiftParams,
     SigmoidParams,
     Solution,
-    ThresholdConfig,
     UnknownClassifier,
-    apply_map,
+    ValidationError,
     calibrated_matrix,
     ensemble_scores,
     fit_affine,
@@ -118,7 +120,7 @@ def test_sigmoid_fit_dominates_coarse_grid():
             assert fitted <= sigmoid_nll(scores, targets, a, b) + 1e-9
     # map is increasing in the raw score
     assert params.a < 0
-    lo, hi = apply_map(params, np.array([-2.0, 2.0]))
+    lo, hi = params(np.array([-2.0, 2.0]))
     assert lo < hi
 
 
@@ -140,15 +142,14 @@ def test_joint_sigmoid_uses_assignment_sets(toy):
     assert model.maps[0] == fit_independent_sigmoid(alone, cutoff=-np.inf).maps[0]
     # classifier 1 covers no positive under the joint thresholds
     assert model.degenerate == (1,)
-    assert model.maps[1].degenerate
     # its constant map sits at the smoothed negative target 1/(3+2)
-    assert model.maps[1].constant == pytest.approx(0.2)
+    assert model.maps[1] == ConstantParams(0.2)
     assert calibrated_matrix(model, [[0.0], [100.0]])[1, 0] == pytest.approx(0.2)
 
 
 def test_joint_fits_reject_infeasible(toy):
     bad = Solution(
-        config=ThresholdConfig((7.0, 4.2)),
+        config=(7.0, 4.2),
         loss=0,
         assignment=[],
         optimal=False,
@@ -171,7 +172,7 @@ def test_isotonic_monotone_and_pooled():
     assert params.breakpoints == (0.0, 1.0, 2.0)
     assert params.values == (0.0, 0.5, 1.0)
     # step-below semantics between and outside breakpoints
-    q = apply_map(params, np.array([-3.0, 0.5, 1.0, 1.7, 9.0]))
+    q = params(np.array([-3.0, 0.5, 1.0, 1.7, 9.0]))
     assert q.tolist() == [0.0, 0.0, 0.5, 0.5, 1.0]
 
 
@@ -202,7 +203,7 @@ def test_affine_subsamples_large_problems():
     a = fit_affine(prob, sample_count=64, seed=5)
     b = fit_affine(prob, sample_count=64, seed=5)
     assert a.maps[0] == b.maps[0]  # seeded subsample is reproducible
-    cal = apply_map(a.maps[0], prob.negative_scores[0])
+    cal = a.maps[0](prob.negative_scores[0])
     assert abs(cal.mean()) < 0.5  # sampled moments approximate the full set
 
 
@@ -243,7 +244,7 @@ def test_shape_guards(toy):
 
 def test_sigmoid_clip_handles_extreme_scores():
     params = SigmoidParams(a=-3.0, b=0.0)
-    out = apply_map(params, np.array([-1e6, 1e6]))
+    out = params(np.array([-1e6, 1e6]))
     assert out[0] == pytest.approx(0.0) and out[1] == pytest.approx(1.0)
     assert np.isfinite(out).all()
 
@@ -271,3 +272,39 @@ def test_model_round_trip(tmp_path, toy, fit):
     assert np.array_equal(
         calibrated_matrix(back, probe), calibrated_matrix(model, probe)
     )
+
+
+@pytest.mark.parametrize("method, maps", [
+    ("joint-thresholds", (SigmoidParams(-1.0, 0.0),)),
+    ("joint-sigmoid", (ShiftParams(0.5),)),
+    ("isotonic", (AffineParams(1.0, 0.0),)),
+    ("affine", (ConstantParams(0.2),)),
+    ("platt", (SigmoidParams(-1.0, 0.0),)),
+], ids=["shift-method-sigmoid", "sigmoid-method-shift", "isotonic-method-affine",
+        "affine-method-constant", "unknown-method"])
+def test_model_rejects_maps_its_method_cannot_hold(method, maps):
+    with pytest.raises(ValidationError):
+        CalibrationModel(method, maps)
+
+
+@pytest.mark.parametrize("breakpoints, values", [
+    ((0.1, 0.2), (0.5,)),
+    ((), ()),
+    ((0.2, 0.1), (0.0, 1.0)),
+    ((0.1, 0.1), (0.0, 1.0)),
+], ids=["length-mismatch", "empty", "descending", "repeated"])
+def test_isotonic_map_rejects_malformed_breakpoints(breakpoints, values):
+    with pytest.raises(ValidationError):
+        IsotonicParams(breakpoints, values)
+
+
+def test_degenerate_is_read_off_the_maps(tmp_path, toy):
+    model = fit_joint_sigmoid(toy, solve_exact(toy))
+    assert model.degenerate == (1,)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    assert doc["degenerate"] == [1]
+    doc["degenerate"] = [0]  # a stale list in the file is not trusted
+    path.write_text(json.dumps(doc))
+    assert load_model(path).degenerate == (1,)

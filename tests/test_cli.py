@@ -79,7 +79,7 @@ def test_solve_golden(tmp_path):
     sol = load_solution(out)
     assert sol.loss == GOLDEN_LOSS
     assert sol.optimal and not sol.fallback
-    assert sol.config.thresholds == GOLDEN_THRESHOLDS
+    assert sol.config == GOLDEN_THRESHOLDS
     assert sol.assignment == [1, 0, 0]
 
 
@@ -202,6 +202,38 @@ def test_malformed_field_exits_2(tmp_path, kind):
     assert res.returncode == 2
     assert "ParseError" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+def write_model(tmp_path, method, maps):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"version": 1, "method": method,
+                                "num_classifiers": len(maps), "classifiers": maps}))
+    return path
+
+
+@pytest.mark.parametrize("breakpoints, values", [
+    ([0.1, 0.2], [0.5]),
+    ([], []),
+    ([0.2, 0.1], [0.0, 1.0]),
+], ids=["length-mismatch", "empty", "unsorted"])
+def test_evaluate_malformed_isotonic_map_exits_2(tmp_path, breakpoints, values):
+    good = {"kind": "isotonic", "breakpoints": [0.0], "values": [0.5]}
+    bad = {"kind": "isotonic", "breakpoints": breakpoints, "values": values}
+    model = write_model(tmp_path, "isotonic", [bad, good])
+    res = run("evaluate", str(model), str(GOLDEN), "--metric", "ap")
+    assert res.returncode == 2
+    assert "ParseError" in res.stderr and "isotonic" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_evaluate_maps_that_do_not_fit_method_exits_2(tmp_path):
+    sigmoid = {"kind": "sigmoid", "a": -1.0, "b": 0.0}
+    model = write_model(tmp_path, "joint-thresholds", [sigmoid, sigmoid])
+    res = run("evaluate", str(model), str(GOLDEN), "--metric", "fp-at-recall")
+    assert res.returncode == 2
+    assert "ParseError" in res.stderr and "SigmoidParams" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stdout == ""
 
 
 def solve_golden(tmp_path):

@@ -33,7 +33,7 @@ def test_oracle_toy_frozen():
     assert res.loss == 2
     assert res.enumerated == 9  # 3 x 3 candidate grid
     # lex-smallest witness among the loss-2 configs
-    assert res.config.thresholds == (1.25, 4.2)
+    assert res.config == (1.25, 4.2)
 
 
 def test_oracle_witness_is_feasible_and_scored():

@@ -15,7 +15,6 @@ from calib import (
     SearchStats,
     ShiftParams,
     Solution,
-    ThresholdConfig,
     ValidationError,
     check_feasible,
     compute_loss,
@@ -53,11 +52,11 @@ def test_matrices_read_only(toy):
 
 def test_loss_and_feasibility_toy(toy):
     # hand-worked: thresholds (1.25, 4.2) admit negatives 1.0+2.0 on e0 only
-    cfg = ThresholdConfig((1.25, 4.2))
+    cfg = (1.25, 4.2)
     assert check_feasible(toy, cfg)
     assert compute_loss(toy, cfg) == 2
     # sentinel-everything: infeasible, loss 0
-    top = ThresholdConfig((7.0, 4.2))
+    top = (7.0, 4.2)
     assert not check_feasible(toy, top)
     assert compute_loss(toy, top) == 0
 
@@ -65,7 +64,7 @@ def test_loss_and_feasibility_toy(toy):
 def test_loss_counts_union_not_sum():
     # one negative admitted by both classifiers counts once
     p = Problem(np.array([[1.0], [1.0]]), np.array([[0.5], [0.5]]))
-    assert compute_loss(p, ThresholdConfig((0.0, 0.0))) == 1
+    assert compute_loss(p, (0.0, 0.0)) == 1
 
 
 def test_ensemble_score_max_of_shifted():
@@ -77,11 +76,11 @@ def test_ensemble_score_max_of_shifted():
 
 
 def test_derive_assignment_smallest_index(toy):
-    assert derive_assignment(toy, ThresholdConfig((1.25, 4.2))) == [0, 0]
+    assert derive_assignment(toy, (1.25, 4.2)) == [0, 0]
     # tighten e0 so positive 1 (score 1.5) must fall to e1
-    assert derive_assignment(toy, ThresholdConfig((2.0, 2.75))) == [0, 1]
+    assert derive_assignment(toy, (2.0, 2.75)) == [0, 1]
     with pytest.raises(InfeasibleSolution):
-        derive_assignment(toy, ThresholdConfig((7.0, 4.2)))
+        derive_assignment(toy, (7.0, 4.2))
 
 
 def test_problem_round_trip(tmp_path):
@@ -105,7 +104,7 @@ def test_problem_round_trip(tmp_path):
 
 def test_solution_round_trip(tmp_path):
     sol = Solution(
-        config=ThresholdConfig((1.25, 4.2)),
+        config=(1.25, 4.2),
         loss=2,
         assignment=[0, ROOT_COVERED],
         optimal=True,
@@ -130,7 +129,7 @@ def test_solution_round_trip(tmp_path):
         ("incumbent_history", [[0.05, 4], [0.08, 2]]),
     ]
     back = load_solution(path)
-    assert back.config.thresholds == (1.25, 4.2)
+    assert back.config == (1.25, 4.2)
     assert back.loss == 2
     assert back.assignment == [0, ROOT_COVERED]
     assert back.optimal and not back.fallback
@@ -148,6 +147,4 @@ def test_loss_monotone_in_thresholds(ts, data):
     j = data.draw(st.integers(0, E - 1))
     raised = list(base)
     raised[j] = base[j] + abs(ts[0]) + 0.1
-    assert compute_loss(toy, ThresholdConfig(raised)) <= compute_loss(
-        toy, ThresholdConfig(base)
-    )
+    assert compute_loss(toy, raised) <= compute_loss(toy, base)

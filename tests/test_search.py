@@ -27,7 +27,7 @@ from conftest import small_problem
 def test_exact_toy_frozen(toy):
     sol = solve_exact(toy)
     assert sol.loss == 2
-    assert sol.config.thresholds == (1.25, 4.2)
+    assert sol.config == (1.25, 4.2)
     assert sol.assignment == [0, 0]
     assert sol.optimal and not sol.fallback
     # hand-walked tree: root, two descent nodes, one leaf; both siblings
@@ -108,7 +108,7 @@ def test_assignment_points_at_covering_classifier():
     for seed in range(12):
         prob = small_problem(seed)
         sol = solve_exact(prob)
-        theta = sol.config.thresholds
+        theta = sol.config
         for p, a in enumerate(sol.assignment):
             s = prob.positive_scores[:, p]
             if a == ROOT_COVERED:
@@ -145,7 +145,7 @@ def test_wall_budget_expiry_falls_back_to_lowest(toy):
     assert sol.fallback and not sol.optimal
     assert check_feasible(toy, sol.config)
     assert sol.loss == compute_loss(toy, sol.config)
-    assert sol.config.thresholds == (1.25, -0.25)  # all-lowest candidates
+    assert sol.config == (1.25, -0.25)  # all-lowest candidates
     assert sol.stats.incumbent_history == []
     assert sol.assignment == [0, 0]
 

@@ -203,7 +203,7 @@ DBL_MAX = float(np.finfo(np.float64).max)
 def test_placement_on_extreme_scores(pos, neg, loss, thresholds):
     prob = Problem(np.array([[pos]]), np.array([[neg]]))
     sol = solve_exact(prob)
-    assert (sol.loss, sol.config.thresholds) == (loss, thresholds)
+    assert (sol.loss, sol.config) == (loss, thresholds)
     assert oracle_solve(prob).loss == loss == dense_sweep_optimum(prob)
 
 
@@ -254,5 +254,5 @@ def test_extreme_scores_solve_to_the_optimum_or_raise(data):
             oracle_solve(prob)
         return
     assert not (prob.positive_scores == -DBL_MAX).any()
-    assert np.isfinite(sol.config.thresholds).all()
+    assert np.isfinite(sol.config).all()
     assert sol.loss == oracle_solve(prob).loss == dense_sweep_optimum(prob)
