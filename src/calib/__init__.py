@@ -37,7 +37,6 @@ from .errors import (
     MonotonicityViolation,
     ParseError,
     TooLarge,
-    UnknownClassifier,
     UnreachableRecall,
     ValidationError,
 )

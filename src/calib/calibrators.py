@@ -14,12 +14,13 @@ import numpy as np
 
 from .errors import (
     DegenerateVariance,
+    DimensionMismatch,
     InfeasibleSolution,
     ParseError,
-    UnknownClassifier,
     ValidationError,
 )
-from .problem import Problem, Solution, _read_json, _write_json, check_feasible
+from .problem import Problem, Solution, check_feasible
+from .problem import _json_list, _json_value, _read_json, _write_json
 from .synthgen import CounterRng
 
 NEWTON_MAX_ITER = 100
@@ -366,7 +367,7 @@ def calibrated_matrix(model: CalibrationModel, scores: np.ndarray) -> np.ndarray
     """Apply per-classifier maps to an (E, M) score matrix."""
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2 or scores.shape[0] != model.num_classifiers:
-        raise UnknownClassifier(
+        raise DimensionMismatch(
             f"score matrix has {scores.shape[0] if scores.ndim == 2 else '?'} rows, "
             f"model has {model.num_classifiers} classifiers"
         )
@@ -388,12 +389,18 @@ MODEL_FORMAT_VERSION = 1
 
 
 def _map_from_doc(doc: dict):
+    """A map from its file object; every field is a number or an array of
+    numbers."""
     if not isinstance(doc, dict):
         raise ParseError(f"classifier map {doc!r} is not an object")
     kind = doc.get("kind")
     if kind not in MAP_KINDS:
         raise ParseError(f"unknown classifier map kind {kind!r}")
-    return MAP_KINDS[kind](**{k: v for k, v in doc.items() if k != "kind"})
+    return MAP_KINDS[kind](**{
+        k: _json_list(v, float, f"{kind} {k}") if isinstance(v, list)
+        else _json_value(v, float, f"{kind} {k}")
+        for k, v in doc.items() if k != "kind"
+    })
 
 
 def save_model(model: CalibrationModel, path) -> None:
@@ -411,10 +418,10 @@ def save_model(model: CalibrationModel, path) -> None:
 def load_model(path) -> CalibrationModel:
     doc = _read_json(path)
     try:
-        if doc["version"] != MODEL_FORMAT_VERSION:
+        if _json_value(doc["version"], int, "version") != MODEL_FORMAT_VERSION:
             raise ParseError(f"unsupported model version {doc['version']!r}")
         maps = tuple(_map_from_doc(m) for m in doc["classifiers"])
-        if len(maps) != doc["num_classifiers"]:
+        if len(maps) != _json_value(doc["num_classifiers"], int, "num_classifiers"):
             raise ParseError("num_classifiers does not match classifier list")
         return CalibrationModel(method=doc["method"], maps=maps)
     except (KeyError, TypeError, ValueError, ValidationError) as e:

@@ -31,13 +31,7 @@ from .problem import (
     SearchStats,
     Solution,
 )
-from .search import (
-    ABLATIONS,
-    PRUNING_FLAGS,
-    SearchOptions,
-    solve_anytime,
-    solve_exact,
-)
+from .search import ABLATIONS, SearchOptions, solve_anytime, solve_exact
 from .synthgen import GenerateSpec, generate
 
 EXIT_OK = 0
@@ -96,12 +90,13 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--classifiers", type=int, required=True)
     gen.add_argument("--positives", type=int, required=True)
     gen.add_argument("--negatives", type=int, required=True)
-    gen.add_argument("--dims", type=int, default=16)
-    gen.add_argument("--spread", type=float, default=0.15)
-    gen.add_argument("--noise", type=float, default=0.05)
-    gen.add_argument("--split", type=float, default=0.5)
-    gen.add_argument("--hardness", type=float, default=0.0)
-    gen.add_argument("--hardness-scale", type=float, default=0.55)
+    # Left unset, these take GenerateSpec's defaults.
+    gen.add_argument("--dims", type=int, default=argparse.SUPPRESS)
+    gen.add_argument("--spread", type=float, default=argparse.SUPPRESS)
+    gen.add_argument("--noise", type=float, default=argparse.SUPPRESS)
+    gen.add_argument("--split", type=float, default=argparse.SUPPRESS)
+    gen.add_argument("--hardness", type=float, default=argparse.SUPPRESS)
+    gen.add_argument("--hardness-scale", type=float, default=argparse.SUPPRESS)
     gen.add_argument("--out", required=True, help="training problem file")
     gen.add_argument("--test-out", help="also write the held-out problem")
 
@@ -152,20 +147,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Names of GenerateSpec fields as `calib generate` flags (dashes read as
+# underscores) and `calib bench` spec keys.
+_SPEC_FIELDS = {
+    "seed": "seed",
+    "classifiers": "num_classifiers",
+    "positives": "num_positives",
+    "negatives": "num_negatives",
+    "dims": "dimensions",
+    "spread": "spread",
+    "noise": "noise",
+    "split": "split_fraction",
+    "hardness": "hardness_fraction",
+    "hardness_scale": "hardness_scale",
+}
+
+
+def _generate_spec(values: dict) -> GenerateSpec:
+    """GenerateSpec from values keyed by _SPEC_FIELDS names; fields not
+    given keep GenerateSpec's defaults."""
+    return GenerateSpec(**{_SPEC_FIELDS[k]: v for k, v in values.items()})
+
+
 def _cmd_generate(args) -> int:
-    spec = GenerateSpec(
-        seed=args.seed,
-        num_classifiers=args.classifiers,
-        num_positives=args.positives,
-        num_negatives=args.negatives,
-        dimensions=args.dims,
-        spread=args.spread,
-        noise=args.noise,
-        split_fraction=args.split,
-        hardness_fraction=args.hardness,
-        hardness_scale=args.hardness_scale,
-    )
-    train, test = generate(spec)
+    train, test = generate(_generate_spec(
+        {k: v for k, v in vars(args).items() if k in _SPEC_FIELDS}
+    ))
     save_problem(train, args.out)
     log.info("wrote %s (E=%d P=%d N=%d)", args.out, train.num_classifiers,
              train.num_positives, train.num_negatives)
@@ -271,31 +278,11 @@ def _cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-_BENCH_KEYS = {
-    "seeds", "ablations", "classifiers", "positives", "negatives", "dims",
-    "spread", "noise", "hardness", "hardness_scale", "budget_ms", "node_budget",
-}
-
-
-def _bench_ablations(doc: dict) -> list[tuple[str, dict]]:
-    """Named pruning-flag sets of a bench spec; the shared table by default."""
-    if "ablations" not in doc:
-        return list(ABLATIONS.items())
-    out = []
-    for entry in doc["ablations"]:
-        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
-            raise InvalidSpec(f"ablation {entry!r} needs a string 'name'")
-        flags = {k: v for k, v in entry.items() if k != "name"}
-        unknown = sorted(set(flags) - set(PRUNING_FLAGS))
-        if unknown:
-            raise InvalidSpec(
-                f"ablation {entry['name']!r}: unknown flag(s) {', '.join(unknown)}; "
-                f"known flags: {', '.join(PRUNING_FLAGS)}"
-            )
-        if not all(isinstance(v, bool) for v in flags.values()):
-            raise InvalidSpec(f"ablation {entry['name']!r}: flags must be true or false")
-        out.append((entry["name"], flags))
-    return out
+# A bench spec sizes its problems as these unless it says otherwise; it
+# sets every GenerateSpec field but the seed (from "seeds") and the split.
+_BENCH_SIZES = {"classifiers": 8, "positives": 12, "negatives": 60}
+_BENCH_GENERATE_KEYS = set(_SPEC_FIELDS) - {"seed", "split"}
+_BENCH_KEYS = _BENCH_GENERATE_KEYS | {"seeds", "budget_ms", "node_budget"}
 
 
 def _cmd_bench(args) -> int:
@@ -306,25 +293,13 @@ def _cmd_bench(args) -> int:
             f"unknown bench spec key(s) {', '.join(unknown)}; "
             f"known keys: {', '.join(sorted(_BENCH_KEYS))}"
         )
+    given = {**_BENCH_SIZES, **{k: v for k, v in doc.items() if k in _BENCH_GENERATE_KEYS}}
     try:
-        specs = [
-            GenerateSpec(
-                seed=seed,
-                num_classifiers=doc.get("classifiers", 8),
-                num_positives=doc.get("positives", 12),
-                num_negatives=doc.get("negatives", 60),
-                dimensions=doc.get("dims", 16),
-                spread=doc.get("spread", 0.15),
-                noise=doc.get("noise", 0.05),
-                hardness_fraction=doc.get("hardness", 0.0),
-                hardness_scale=doc.get("hardness_scale", 0.55),
-            )
-            for seed in doc.get("seeds", [1])
-        ]
+        specs = [_generate_spec({**given, "seed": seed}) for seed in doc.get("seeds", [1])]
         ablations = [
             (name, SearchOptions(budget_ms=doc.get("budget_ms"),
                                  node_budget=doc.get("node_budget"), **flags))
-            for name, flags in _bench_ablations(doc)
+            for name, flags in ABLATIONS.items()
         ]
     except (TypeError, ValueError) as e:
         raise InvalidSpec(f"{args.spec}: {e}") from e
@@ -384,7 +359,7 @@ def main(argv: list[str] | None = None) -> int:
     except CalibError as e:
         print(f"calib {args.verb}: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INVALID
-    except (OSError, json.JSONDecodeError) as e:
+    except OSError as e:
         print(f"calib {args.verb}: {e}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -45,9 +45,5 @@ class UnreachableRecall(CalibError):
     """No operating threshold reaches the requested recall."""
 
 
-class UnknownClassifier(CalibError):
-    """A classifier index is outside the model's range."""
-
-
 class InvalidSpec(CalibError):
     """A generator spec has out-of-range parameters."""

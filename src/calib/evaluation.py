@@ -8,7 +8,6 @@ other method is evaluated at the recall that point achieves.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +25,6 @@ from .calibrators import (
 )
 from .errors import DimensionMismatch, UnreachableRecall, ValidationError
 from .problem import Problem, Solution, _thresholds_array
-from .search import SearchOptions, solve_exact
 
 
 def recall_at_thresholds(problem: Problem, config) -> float:
@@ -70,7 +68,9 @@ def fp_at_recall(problem: Problem, model: CalibrationModel, target: float) -> Fp
     if target == 0.0:
         top = float(np.max(np.concatenate([pos, neg]))) if len(neg) else float(pos.max())
         return FpAtRecall(fp=0, tau=top + 1.0, recall=0.0)
-    k = math.ceil(target * len(pos))
+    # The smallest k with k/P >= target, as recall is computed: ceil(target
+    # * P) is one too many when the product rounds up past an exact c/P.
+    k = int(np.searchsorted(np.arange(len(pos) + 1) / len(pos), target))
     tau = float(np.partition(pos, len(pos) - k)[len(pos) - k])
     recall = float(np.count_nonzero(pos >= tau)) / len(pos)
     if recall < target:
@@ -137,7 +137,6 @@ class MethodRow:
 class ComparisonReport:
     reference_recall: float
     rows: list[MethodRow] = field(default_factory=list)
-    solution: Solution | None = None
 
 
 def fit_method(
@@ -175,38 +174,24 @@ def compare_methods(
     train: Problem,
     test: Problem,
     methods: list[str],
-    solution: Solution | None = None,
-    budget_ms: float | None = None,
-    affine_seed: int = 0,
-    target_recall: float | None = None,
+    solution: Solution,
 ) -> ComparisonReport:
     """Fit each method on train, evaluate all of them on test.
 
-    The reference recall is the joint-thresholds operating point on test
-    when a solution is available (solved here if needed), else the explicit
-    target_recall, else 1.0.  Every non-joint method reports fp at that
-    recall; AP uses the full ranking regardless.
+    solution is a joint solution of train.  The reference recall is its
+    joint-thresholds operating point on test; every non-joint method
+    reports fp at that recall.  AP uses the full ranking regardless.
     """
     if train.num_classifiers != test.num_classifiers:
         raise DimensionMismatch(
             f"train has {train.num_classifiers} classifiers, "
             f"test has {test.num_classifiers}"
         )
-    if solution is None and any(m in JOINT_METHODS for m in methods):
-        solution = solve_exact(train, SearchOptions(budget_ms=budget_ms))
-
-    if solution is not None:
-        joint_model = fit_joint_thresholds(train, solution)
-        reference = fp_at_recall(test, joint_model, 1.0).recall
-    elif target_recall is not None:
-        reference = target_recall
-    else:
-        reference = 1.0
-
-    report = ComparisonReport(reference_recall=reference, solution=solution)
+    joint_model = fit_joint_thresholds(train, solution)
+    report = ComparisonReport(reference_recall=fp_at_recall(test, joint_model, 1.0).recall)
     for method in methods:
-        model = fit_method(method, train, solution, seed=affine_seed)
-        point = fp_at_recall(test, model, reference)
+        model = fit_method(method, train, solution)
+        point = fp_at_recall(test, model, report.reference_recall)
         ap = average_precision(test, model)
         report.rows.append(
             MethodRow(method=method, recall=point.recall, fp=point.fp,

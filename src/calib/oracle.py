@@ -24,17 +24,13 @@ class OracleResult:
     enumerated: int
 
 
-def oracle_node_count(num_classifiers, num_positives: int | None = None) -> int:
+def oracle_node_count(num_classifiers: int, num_positives: int) -> int:
     """Nodes in the unpruned search tree: sum of E^d for depths 0..P.
 
-    Accepts either (E, P) or a Problem.  Exact unbounded-integer arithmetic;
-    E=1 degenerates to the chain of length P+1.
+    Exact unbounded-integer arithmetic; E=1 degenerates to the chain of
+    length P+1.
     """
-    if isinstance(num_classifiers, Problem):
-        problem = num_classifiers
-        num_classifiers = problem.num_classifiers
-        num_positives = problem.num_positives
-    if num_classifiers < 1 or num_positives is None or num_positives < 0:
+    if num_classifiers < 1 or num_positives < 0:
         raise ValueError("need at least one classifier and nonnegative positives")
     E, P = num_classifiers, num_positives
     if E == 1:

@@ -217,6 +217,30 @@ def _write_json(doc: dict, path) -> None:
         raise IoError(f"cannot write {path}: {e}") from e
 
 
+# The JSON types each kind of field accepts.  Types match exactly, so true
+# and false (Python ints) are neither numbers nor counts.
+_JSON_KINDS = {float: ({int, float}, "a number"), int: ({int}, "an integer"),
+               bool: ({bool}, "true or false")}
+
+
+def _json_value(value, kind: type, where: str):
+    """value read from JSON as kind (float, int or bool); else ParseError."""
+    types, name = _JSON_KINDS[kind]
+    if type(value) not in types:
+        raise ParseError(f"{where} is not {name}: {value!r}")
+    return kind(value)
+
+
+def _json_list(values, kind: type, where: str) -> list:
+    """A JSON array of kind values as a list; ParseError names a bad entry."""
+    if not isinstance(values, list):
+        raise ParseError(f"{where} is not an array")
+    if not _JSON_KINDS[kind][0].issuperset(map(type, values)):
+        for i, v in enumerate(values):
+            _json_value(v, kind, f"{where}[{i}]")
+    return list(map(kind, values))
+
+
 def _matrix_from_doc(doc: dict, key: str, num_rows: int) -> np.ndarray:
     rows = doc.get(key)
     if not isinstance(rows, list):
@@ -228,18 +252,13 @@ def _matrix_from_doc(doc: dict, key: str, num_rows: int) -> np.ndarray:
     width = None
     out = []
     for r, row in enumerate(rows):
-        if not isinstance(row, list):
-            raise ParseError(f"{key} row {r} is not an array")
+        out.append(_json_list(row, float, f"{key}[{r}]"))
         if width is None:
             width = len(row)
         elif len(row) != width:
             raise ValidationError(
                 f"{key} is ragged: row {r} has {len(row)} columns, row 0 has {width}"
             )
-        for c, v in enumerate(row):
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise ParseError(f"{key}[{r}][{c}] is not a number")
-        out.append([float(v) for v in row])
     return np.array(out, dtype=np.float64).reshape(num_rows, width or 0)
 
 
@@ -258,11 +277,11 @@ def load_problem(path) -> Problem:
     name the offending row/column.
     """
     doc = _read_json(path)
-    version = doc.get("version")
+    version = _json_value(doc.get("version"), int, "version")
     if version != PROBLEM_FORMAT_VERSION:
         raise ParseError(f"unsupported problem format version {version!r}")
-    e = doc.get("num_classifiers")
-    if not isinstance(e, int) or e < 1:
+    e = _json_value(doc.get("num_classifiers"), int, "num_classifiers")
+    if e < 1:
         raise ValidationError(f"num_classifiers must be a positive integer, got {e!r}")
     pos = _matrix_from_doc(doc, "positive_scores", e)
     neg = _matrix_from_doc(doc, "negative_scores", e)
@@ -312,30 +331,33 @@ def save_solution(solution: Solution, path) -> None:
 
 
 def load_solution(path) -> Solution:
+    """Load a solution file; a missing or mistyped field raises ParseError."""
     doc = _read_json(path)
     try:
         raw_stats = doc.get("stats", {})
         if not isinstance(raw_stats, dict):
             raise ParseError("field 'stats' is not an object")
-        stats = SearchStats(
-            **{f.name: raw_stats[f.name] for f in fields(SearchStats) if f.name in raw_stats}
-        )
-        stats.incumbent_history = [(float(t), int(l)) for t, l in stats.incumbent_history]
-        assignment: list[int | str] = []
-        for a in doc["assignment"]:
-            if a == ROOT_COVERED:
-                assignment.append(ROOT_COVERED)
-            elif isinstance(a, int) and not isinstance(a, bool):
-                assignment.append(a)
-            else:
-                raise ParseError(f"bad assignment entry {a!r}")
+        # Each stats field but the history has its default's type.
+        stats = SearchStats(**{
+            f.name: _json_value(raw_stats[f.name], type(f.default), f"stats.{f.name}")
+            for f in fields(SearchStats)
+            if f.name in raw_stats and f.name != "incumbent_history"
+        })
+        stats.incumbent_history = [
+            (_json_value(t, float, "incumbent time"), _json_value(l, int, "incumbent loss"))
+            for t, l in raw_stats.get("incumbent_history", [])
+        ]
+        assignment = [
+            a if a == ROOT_COVERED else _json_value(a, int, "assignment entry")
+            for a in doc["assignment"]
+        ]
         return Solution(
-            config=tuple(float(t) for t in doc["thresholds"]),
-            loss=int(doc["loss"]),
+            config=tuple(_json_list(doc["thresholds"], float, "thresholds")),
+            loss=_json_value(doc["loss"], int, "loss"),
             assignment=assignment,
-            optimal=bool(doc["optimal"]),
+            optimal=_json_value(doc["optimal"], bool, "optimal"),
             stats=stats,
-            fallback=bool(doc.get("fallback", False)),
+            fallback=_json_value(doc.get("fallback", False), bool, "fallback"),
         )
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"{path}: malformed solution file: {e}") from e

@@ -13,6 +13,7 @@ from calib import (
     CalibrationModel,
     ConstantParams,
     DegenerateVariance,
+    DimensionMismatch,
     InfeasibleSolution,
     IsotonicParams,
     Problem,
@@ -20,7 +21,6 @@ from calib import (
     ShiftParams,
     SigmoidParams,
     Solution,
-    UnknownClassifier,
     ValidationError,
     calibrated_matrix,
     ensemble_scores,
@@ -231,13 +231,13 @@ def test_ensemble_is_max_of_calibrated_columns(toy):
 
 def test_shape_guards(toy):
     model = fit_isotonic(toy)
-    with pytest.raises(UnknownClassifier):
+    with pytest.raises(DimensionMismatch):
         calibrated_matrix(model, [1.0, 2.0])  # one sample, not an (E, M) matrix
-    with pytest.raises(UnknownClassifier):
+    with pytest.raises(DimensionMismatch):
         calibrated_matrix(model, np.zeros((3, 4)))
-    with pytest.raises(UnknownClassifier):
+    with pytest.raises(DimensionMismatch):
         ensemble_scores(model, np.zeros((3, 1)))
-    with pytest.raises(UnknownClassifier):
+    with pytest.raises(DimensionMismatch):
         ensemble_scores(model, [1.0, 2.0])
     assert ensemble_scores(model, np.zeros((2, 0))).shape == (0,)
 

@@ -10,7 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from calib import Problem, load_model, load_problem, load_solution, save_problem
+from calib import (
+    GenerateSpec,
+    Problem,
+    generate,
+    load_model,
+    load_problem,
+    load_solution,
+    save_problem,
+)
 
 from conftest import small_problem
 
@@ -61,6 +69,15 @@ def test_generate_reproduces_golden_bytes(tmp_path):
     res = run("generate", *GOLDEN_ARGS, "--out", str(out))
     assert res.returncode == 0
     assert out.read_bytes() == GOLDEN.read_bytes()
+
+
+def test_generate_defaults_are_the_specs(tmp_path):
+    out, ref = tmp_path / "p.json", tmp_path / "ref.json"
+    res = run("generate", "--seed", "1", "--classifiers", "2", "--positives", "3",
+              "--negatives", "6", "--out", str(out))
+    assert res.returncode == 0
+    save_problem(generate(GenerateSpec(1, 2, 3, 6))[0], ref)
+    assert out.read_bytes() == ref.read_bytes()
 
 
 def test_generate_writes_test_split(tmp_path):
@@ -176,29 +193,53 @@ def test_missing_file_exits_2(tmp_path):
     assert res.returncode == 2
 
 
-def malformed_case(tmp_path, kind):
-    """argv reading one file of the given kind with a field of the wrong type."""
+AFFINE = {"kind": "affine", "a": 1.0, "b": 0.0}
+ISOTONIC = {"kind": "isotonic", "breakpoints": [0.0, 1.0], "values": [0.25, 0.5]}
+
+# Per case: the kind of file and the fields that replace a valid one's.
+MALFORMED = {
+    "problem": ("problem", {"positive_ids": 5}),
+    "problem-bool-version": ("problem", {"version": True}),
+    "problem-bool-count": ("problem", {"num_classifiers": True, "positive_scores": [[0.5]],
+                                       "negative_scores": [[0.1]]}),
+    "solution": ("solution", {"stats": [1]}),
+    "solution-string-threshold": ("solution", {"thresholds": ["-0.5", 0.6]}),
+    "solution-bool-threshold": ("solution", {"thresholds": [-0.5, True]}),
+    "solution-string-loss": ("solution", {"loss": "3"}),
+    "solution-string-optimal": ("solution", {"optimal": "no"}),
+    "solution-bool-stat": ("solution", {"stats": {"nodes_visited": True}}),
+    "model": ("model", {"classifiers": [5, AFFINE]}),
+    "model-string-param": ("model", {"classifiers": [{**AFFINE, "a": "2"}, AFFINE]}),
+    "model-bool-param": ("model", {"classifiers": [{**AFFINE, "b": True}, AFFINE]}),
+    "model-bool-isotonic-value": ("model", {
+        "method": "isotonic",
+        "classifiers": [{**ISOTONIC, "values": [0.25, True]}, ISOTONIC],
+    }),
+}
+
+
+def malformed_case(tmp_path, case):
+    """argv reading one file with a field of the wrong type (see MALFORMED)."""
+    kind, fields = MALFORMED[case]
     bad = tmp_path / f"bad_{kind}.json"
     if kind == "problem":
         doc = json.loads(GOLDEN.read_text())
-        doc["positive_ids"] = 5
         argv = ["solve", str(bad), "--out", str(tmp_path / "s.json")]
     elif kind == "solution":
         doc = {"thresholds": list(GOLDEN_THRESHOLDS), "loss": GOLDEN_LOSS,
-               "assignment": [1, 0, 0], "optimal": True, "stats": [1]}
+               "assignment": [1, 0, 0], "optimal": True}
         argv = ["calibrate", str(GOLDEN), "--method", "joint-thresholds",
                 "--solution", str(bad), "--out", str(tmp_path / "m.json")]
     else:
-        doc = {"version": 1, "method": "affine", "num_classifiers": 2,
-               "classifiers": [5, {"kind": "affine", "a": 1.0, "b": 0.0}]}
+        doc = {"version": 1, "method": "affine", "num_classifiers": 2}
         argv = ["evaluate", str(bad), str(GOLDEN), "--metric", "ap"]
-    bad.write_text(json.dumps(doc))
+    bad.write_text(json.dumps({**doc, **fields}))
     return argv
 
 
-@pytest.mark.parametrize("kind", ["problem", "solution", "model"])
-def test_malformed_field_exits_2(tmp_path, kind):
-    res = run(*malformed_case(tmp_path, kind))
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_field_exits_2(tmp_path, case):
+    res = run(*malformed_case(tmp_path, case))
     assert res.returncode == 2
     assert "ParseError" in res.stderr
     assert "Traceback" not in res.stderr
@@ -399,21 +440,21 @@ def test_bench_writes_ablation_grid(tmp_path):
     assert len(curves) > 1
 
 
-@pytest.mark.parametrize("spec", [
-    {"seeds": [1], "ablations": [{"name": "typo", "enable_prune_bond": False}]},
-    {"seeds": [1], "classifers": 3},
-    {"seeds": ["a"]},
-    {"seeds": [1.5]},
-    {"seeds": [True]},
-    {"seeds": [1], "classifiers": 2.5},
-], ids=["unknown-ablation-flag", "unknown-key", "string-seed", "float-seed",
+@pytest.mark.parametrize("spec, named", [
+    ({"seeds": [1], "ablations": [{"name": "all-on"}]}, "key(s) ablations;"),
+    ({"seeds": [1], "classifers": 3}, "key(s) classifers;"),
+    ({"seeds": ["a"]}, "seed must be an integer"),
+    ({"seeds": [1.5]}, "seed must be an integer"),
+    ({"seeds": [True]}, "seed must be an integer"),
+    ({"seeds": [1], "classifiers": 2.5}, "num_classifiers must be an integer"),
+], ids=["ablations-key", "unknown-key", "string-seed", "float-seed",
         "bool-seed", "float-size"])
-def test_bench_bad_spec_exits_2(tmp_path, spec):
+def test_bench_bad_spec_exits_2(tmp_path, spec, named):
     path = tmp_path / "bench.json"
     path.write_text(json.dumps(spec))
     res = run("bench", str(path), "--out-dir", str(tmp_path))
     assert res.returncode == 2
-    assert "InvalidSpec" in res.stderr
+    assert "InvalidSpec" in res.stderr and named in res.stderr
     assert "Traceback" not in res.stderr
     assert not (tmp_path / "bench_nodes.csv").exists()
 

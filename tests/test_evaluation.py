@@ -51,6 +51,16 @@ def test_fp_at_recall_hand_case():
     assert zero.tau == 4.0  # above every sample score
 
 
+def test_fp_at_recall_reaches_every_exact_recall():
+    # A target of exactly c/P takes c positives, not c + 1, although
+    # c/P * P can round up past c (7/25 * 25 does).
+    model = identity_model()
+    for num_pos in range(1, 61):
+        prob = Problem(np.arange(num_pos, dtype=np.float64)[None, :], np.array([[-1.0]]))
+        for c in range(num_pos + 1):
+            assert fp_at_recall(prob, model, c / num_pos).recall == c / num_pos, (c, num_pos)
+
+
 def test_fp_at_recall_tie_semantics():
     # recall counts scores AT tau, fp only strictly above it
     prob = Problem(np.array([[2.0, 2.0]]), np.array([[2.0]]))
@@ -126,8 +136,7 @@ def test_compare_methods_full_report():
         "isotonic",
         "affine",
     ]
-    report = compare_methods(train, test, methods)
-    assert report.solution is not None and report.solution.optimal
+    report = compare_methods(train, test, methods, solve_exact(train))
     assert [row.method for row in report.rows] == methods
     rows = {row.method: row for row in report.rows}
     # the joint row reproduces the reference operating point exactly
@@ -140,25 +149,17 @@ def test_compare_methods_full_report():
             assert row.recall >= report.reference_recall
 
 
-def test_compare_methods_without_joint_needs_no_solve():
-    train, test = comparison_instance()
-    report = compare_methods(train, test, ["affine"], target_recall=0.8)
-    assert report.solution is None
-    assert report.reference_recall == 0.8
-    assert report.rows[0].recall >= 0.8
-
-
 def test_compare_methods_dimension_guard():
     train, test = comparison_instance()
     other = Problem(np.zeros((2, 3)) + 1.0, np.zeros((2, 4)))
     with pytest.raises(DimensionMismatch):
-        compare_methods(train, other, ["affine"])
+        compare_methods(train, other, ["affine"], solve_exact(train))
 
 
 def test_compare_methods_unknown_method():
     train, test = comparison_instance()
     with pytest.raises(ValidationError):
-        compare_methods(train, test, ["platt-scaling"])
+        compare_methods(train, test, ["platt-scaling"], solve_exact(train))
 
 
 def test_fit_method_dispatch():

@@ -23,7 +23,6 @@ def test_node_count_formula():
     # geometric-series identity cross-check at awkward sizes
     for E, P in [(4, 3), (7, 6), (15, 50)]:
         assert oracle_node_count(E, P) == sum(E**d for d in range(P + 1))
-    assert oracle_node_count(toy_two_by_two()) == 7
     with pytest.raises(ValueError):
         oracle_node_count(0, 3)
 
