@@ -65,36 +65,44 @@ class ConstantParams(_FloatFields):
         return np.full(np.shape(scores), self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IsotonicParams:
     """Right-continuous non-decreasing step function.
 
     breakpoints are the distinct training scores ascending; prediction takes
     the value of the nearest breakpoint at or below the query, clamped to
-    the first value below the range.  Raises ValidationError unless there
-    are as many values as breakpoints, at least one of each, and the
-    breakpoints strictly ascend.
+    the first value below the range.  Both are held as read-only float64
+    arrays, converted once here, and maps compare equal by content.  Raises
+    ValidationError unless there are as many values as breakpoints, at
+    least one of each, and the breakpoints strictly ascend.
     """
 
     kind = "isotonic"
-    breakpoints: tuple[float, ...]
-    values: tuple[float, ...]
+    breakpoints: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        bp = tuple(float(x) for x in self.breakpoints)
-        vals = tuple(float(v) for v in self.values)
-        if not bp or len(bp) != len(vals):
+        bp = np.array(self.breakpoints, dtype=np.float64)
+        vals = np.array(self.values, dtype=np.float64)
+        if bp.ndim != 1 or vals.ndim != 1 or not len(bp) or len(bp) != len(vals):
             raise ValidationError(
-                f"isotonic map has {len(bp)} breakpoints and {len(vals)} values"
+                f"isotonic map has {bp.size} breakpoints and {vals.size} values"
             )
         if not (np.diff(bp) > 0.0).all():
             raise ValidationError("isotonic breakpoints must strictly ascend")
+        bp.flags.writeable = vals.flags.writeable = False
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
 
+    def __eq__(self, other):
+        if type(other) is not IsotonicParams:
+            return NotImplemented
+        return (np.array_equal(self.breakpoints, other.breakpoints)
+                and np.array_equal(self.values, other.values))
+
     def __call__(self, scores: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(self.breakpoints, scores, side="right") - 1
-        return np.asarray(self.values)[np.maximum(idx, 0)]
+        return self.values[np.maximum(idx, 0)]
 
 
 @dataclass(frozen=True)
@@ -207,14 +215,17 @@ def _fit_sigmoid(scores: np.ndarray, targets: np.ndarray) -> tuple[float, float]
             step = -grad
         t = 1.0
         for _ in range(60):
-            fa = sigmoid_nll(scores, targets, a + t * step[0], b + t * step[1])
+            ta, tb = a + t * step[0], b + t * step[1]
+            if ta == a and tb == b:
+                # Every shorter step rounds to this same point, where fa == f.
+                return a, b
+            fa = sigmoid_nll(scores, targets, ta, tb)
             if fa < f:
-                a, b = a + t * step[0], b + t * step[1]
-                f = fa
+                a, b, f = ta, tb, fa
                 break
             t *= 0.5
         else:
-            break  # no descent possible at float resolution
+            break  # no descent found in 60 halvings
     return a, b
 
 
@@ -277,22 +288,33 @@ def fit_joint_sigmoid(problem: Problem, solution: Solution) -> CalibrationModel:
 
 
 def pava(values: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    """Weighted least-squares non-decreasing fit, one value per input point."""
+    """Weighted least-squares non-decreasing fit, one value per input point.
+
+    Runs of equal adjacent values are pooled first (a run never violates
+    itself), so the loop below visits one weighted point per run.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if len(values) == 0:
+        return np.empty(0)
     if weights is None:
         weights = np.ones(len(values))
-    blocks: list[list[float]] = []  # [weighted mean, weight sum, point count]
-    for v, w in zip(values, weights):
-        blocks.append([float(v), float(w), 1])
-        while len(blocks) > 1 and blocks[-2][0] > blocks[-1][0]:
-            v1, w1, c1 = blocks.pop()
-            v0, w0, c0 = blocks.pop()
-            blocks.append([(v0 * w0 + v1 * w1) / (w0 + w1), w0 + w1, c0 + c1])
-    out = np.empty(len(values))
-    i = 0
-    for v, _, c in blocks:
-        out[i: i + c] = v
-        i += c
-    return out
+    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    run_lengths = np.diff(np.append(starts, len(values)))
+    means: list[float] = []  # per block: weighted mean, weight sum, run count
+    sums: list[float] = []
+    runs: list[int] = []
+    run_weights = np.add.reduceat(np.asarray(weights, dtype=np.float64), starts)
+    for v, w in zip(values[starts].tolist(), run_weights.tolist()):
+        c = 1
+        while means and means[-1] > v:
+            v0, w0 = means.pop(), sums.pop()
+            v = (v0 * w0 + v * w) / (w0 + w)
+            w += w0
+            c += runs.pop()
+        means.append(v)
+        sums.append(w)
+        runs.append(c)
+    return np.repeat(np.repeat(means, runs), run_lengths)
 
 
 def fit_isotonic(problem: Problem) -> CalibrationModel:
@@ -307,7 +329,7 @@ def fit_isotonic(problem: Problem) -> CalibrationModel:
         sums = np.add.reduceat(labels[order], start)
         counts = np.diff(np.append(start, len(scores)))
         fitted = pava(sums / counts, counts.astype(np.float64))
-        maps.append(IsotonicParams(breakpoints=xs.tolist(), values=fitted.tolist()))
+        maps.append(IsotonicParams(breakpoints=xs, values=fitted))
     return CalibrationModel("isotonic", tuple(maps))
 
 
@@ -409,7 +431,11 @@ def save_model(model: CalibrationModel, path) -> None:
         "method": model.method,
         "num_classifiers": model.num_classifiers,
         # vars, not asdict: asdict deep-copies every isotonic breakpoint.
-        "classifiers": [{"kind": m.kind, **vars(m)} for m in model.maps],
+        "classifiers": [
+            {"kind": m.kind, **{k: v.tolist() if isinstance(v, np.ndarray) else v
+                                for k, v in vars(m).items()}}
+            for m in model.maps
+        ],
         "degenerate": list(model.degenerate),
     }
     _write_json(doc, path)

@@ -18,10 +18,17 @@ from dataclasses import replace
 from pathlib import Path
 
 from .calibrators import AFFINE_SAMPLE_COUNT, JOINT_METHODS, METHODS, load_model, save_model
-from .errors import CalibError, InvalidSpec, TooLarge
-from .evaluation import average_precision, fit_method, fp_at_recall, pr_curve
+from .errors import CalibError, InvalidSpec, ParseError, TooLarge
+from .evaluation import (
+    _average_precision,
+    _ensemble_pair,
+    _operating_point,
+    _pr_curve,
+    fit_method,
+)
 from .oracle import oracle_solve
 from .problem import (
+    _json_value,
     _read_json,
     derive_assignment,
     load_problem,
@@ -260,10 +267,11 @@ def _cmd_calibrate(args) -> int:
 def _cmd_evaluate(args) -> int:
     model = load_model(args.model)
     problem = load_problem(args.problem)
+    pos, neg = _ensemble_pair(problem, model)  # scored once for the metric and curve
     if args.metric == "ap":
-        print(f"ap {average_precision(problem, model)!r}")
+        print(f"ap {_average_precision(pos, neg)!r}")
     else:
-        point = fp_at_recall(problem, model, args.recall)
+        point = _operating_point(pos, neg, model.method, args.recall)
         print(f"fp {point.fp}")
         print(f"tau {point.tau!r}")
         print(f"recall {point.recall!r}")
@@ -271,7 +279,7 @@ def _cmd_evaluate(args) -> int:
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["rank", "score", "label", "precision", "recall"])
-            for pt in pr_curve(problem, model):
+            for pt in _pr_curve(pos, neg):
                 writer.writerow([pt.rank, repr(pt.score), pt.label,
                                  repr(pt.precision), repr(pt.recall)])
         log.info("wrote %s", args.csv)
@@ -281,8 +289,12 @@ def _cmd_evaluate(args) -> int:
 # A bench spec sizes its problems as these unless it says otherwise; it
 # sets every GenerateSpec field but the seed (from "seeds") and the split.
 _BENCH_SIZES = {"classifiers": 8, "positives": 12, "negatives": 60}
-_BENCH_GENERATE_KEYS = set(_SPEC_FIELDS) - {"seed", "split"}
-_BENCH_KEYS = _BENCH_GENERATE_KEYS | {"seeds", "budget_ms", "node_budget"}
+# The JSON type of each bench spec key but "seeds", a list of integers.
+_BENCH_KINDS = {
+    **dict.fromkeys(("classifiers", "positives", "negatives", "dims", "node_budget"), int),
+    **dict.fromkeys(("spread", "noise", "hardness", "hardness_scale", "budget_ms"), float),
+}
+_BENCH_KEYS = set(_BENCH_KINDS) | {"seeds"}
 
 
 def _cmd_bench(args) -> int:
@@ -293,15 +305,22 @@ def _cmd_bench(args) -> int:
             f"unknown bench spec key(s) {', '.join(unknown)}; "
             f"known keys: {', '.join(sorted(_BENCH_KEYS))}"
         )
-    given = {**_BENCH_SIZES, **{k: v for k, v in doc.items() if k in _BENCH_GENERATE_KEYS}}
     try:
-        specs = [_generate_spec({**given, "seed": seed}) for seed in doc.get("seeds", [1])]
-        ablations = [
-            (name, SearchOptions(budget_ms=doc.get("budget_ms"),
-                                 node_budget=doc.get("node_budget"), **flags))
-            for name, flags in ABLATIONS.items()
-        ]
-    except (TypeError, ValueError) as e:
+        # Each key is read as its JSON type: true is neither a number nor a count.
+        given = {**_BENCH_SIZES, **{
+            k: _json_value(v, _BENCH_KINDS[k], _SPEC_FIELDS[k])
+            for k, v in doc.items() if k in _SPEC_FIELDS
+        }}
+        seeds = doc.get("seeds", [1])
+        if not isinstance(seeds, list):
+            raise ParseError("seeds is not an array")
+        specs = [_generate_spec({**given, "seed": _json_value(seed, int, "seed")})
+                 for seed in seeds]
+        budgets = {k: _json_value(doc[k], _BENCH_KINDS[k], k)
+                   for k in ("budget_ms", "node_budget") if doc.get(k) is not None}
+        ablations = [(name, SearchOptions(**budgets, **flags))
+                     for name, flags in ABLATIONS.items()]
+    except (ParseError, ValueError) as e:
         raise InvalidSpec(f"{args.spec}: {e}") from e
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

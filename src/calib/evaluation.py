@@ -48,16 +48,21 @@ class FpAtRecall:
     recall: float
 
 
-def fp_at_recall(problem: Problem, model: CalibrationModel, target: float) -> FpAtRecall:
-    """False positives at the loosest threshold reaching the target recall.
+def _ensemble_pair(problem: Problem,
+                   model: CalibrationModel) -> tuple[np.ndarray, np.ndarray]:
+    """The model's ensemble scores of the problem's positives and negatives.
 
-    For joint-thresholds models the operating point is pinned at margin 0
-    and the target is ignored: the thresholds themselves decide the recall,
-    which is reported for use as other methods' target.
+    Every metric below is read off this pair, so a caller wanting several
+    metrics of one model scores it once.
     """
-    pos = ensemble_scores(model, problem.positive_scores)
-    neg = ensemble_scores(model, problem.negative_scores)
-    if model.method == "joint-thresholds":
+    return (ensemble_scores(model, problem.positive_scores),
+            ensemble_scores(model, problem.negative_scores))
+
+
+def _operating_point(pos: np.ndarray, neg: np.ndarray, method: str,
+                     target: float) -> FpAtRecall:
+    """fp_at_recall on ensemble scores already computed."""
+    if method == "joint-thresholds":
         return FpAtRecall(
             fp=int(np.count_nonzero(neg > 0.0)),
             tau=0.0,
@@ -78,6 +83,16 @@ def fp_at_recall(problem: Problem, model: CalibrationModel, target: float) -> Fp
     return FpAtRecall(fp=int(np.count_nonzero(neg > tau)), tau=tau, recall=recall)
 
 
+def fp_at_recall(problem: Problem, model: CalibrationModel, target: float) -> FpAtRecall:
+    """False positives at the loosest threshold reaching the target recall.
+
+    For joint-thresholds models the operating point is pinned at margin 0
+    and the target is ignored: the thresholds themselves decide the recall,
+    which is reported for use as other methods' target.
+    """
+    return _operating_point(*_ensemble_pair(problem, model), model.method, target)
+
+
 def _ranked(pos: np.ndarray, neg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scores and 0/1 labels in rank order: descending, negatives first on ties."""
     scores = np.concatenate([pos, neg])
@@ -87,14 +102,17 @@ def _ranked(pos: np.ndarray, neg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return scores[order], labels[order]
 
 
-def average_precision(problem: Problem, model: CalibrationModel) -> float:
-    """All-point AP of the ensemble ranking, pessimistic on ties."""
-    pos = ensemble_scores(model, problem.positive_scores)
-    neg = ensemble_scores(model, problem.negative_scores)
+def _average_precision(pos: np.ndarray, neg: np.ndarray) -> float:
+    """average_precision on ensemble scores already computed."""
     _, labels = _ranked(pos, neg)
     cum_pos = np.cumsum(labels)
     ranks = np.arange(1, len(labels) + 1)
     return float((cum_pos[labels == 1] / ranks[labels == 1]).sum() / len(pos))
+
+
+def average_precision(problem: Problem, model: CalibrationModel) -> float:
+    """All-point AP of the ensemble ranking, pessimistic on ties."""
+    return _average_precision(*_ensemble_pair(problem, model))
 
 
 @dataclass(frozen=True)
@@ -106,10 +124,8 @@ class CurvePoint:
     recall: float
 
 
-def pr_curve(problem: Problem, model: CalibrationModel) -> list[CurvePoint]:
-    """Precision-recall staircase over the full ranking, one point per sample."""
-    pos = ensemble_scores(model, problem.positive_scores)
-    neg = ensemble_scores(model, problem.negative_scores)
+def _pr_curve(pos: np.ndarray, neg: np.ndarray) -> list[CurvePoint]:
+    """pr_curve on ensemble scores already computed."""
     scores, labels = _ranked(pos, neg)
     cum_pos = np.cumsum(labels)
     return [
@@ -122,6 +138,11 @@ def pr_curve(problem: Problem, model: CalibrationModel) -> list[CurvePoint]:
         )
         for r in range(len(labels))
     ]
+
+
+def pr_curve(problem: Problem, model: CalibrationModel) -> list[CurvePoint]:
+    """Precision-recall staircase over the full ranking, one point per sample."""
+    return _pr_curve(*_ensemble_pair(problem, model))
 
 
 @dataclass(frozen=True)
@@ -187,14 +208,20 @@ def compare_methods(
             f"train has {train.num_classifiers} classifiers, "
             f"test has {test.num_classifiers}"
         )
+    # The joint-thresholds model sets the reference; it is fitted and
+    # scored once, and every model's scores serve both of its metrics.
     joint_model = fit_joint_thresholds(train, solution)
-    report = ComparisonReport(reference_recall=fp_at_recall(test, joint_model, 1.0).recall)
+    joint_scores = _ensemble_pair(test, joint_model)
+    reference = _operating_point(*joint_scores, joint_model.method, 1.0).recall
+    report = ComparisonReport(reference_recall=reference)
     for method in methods:
-        model = fit_method(method, train, solution)
-        point = fp_at_recall(test, model, report.reference_recall)
-        ap = average_precision(test, model)
+        if method == joint_model.method:
+            scores = joint_scores
+        else:
+            scores = _ensemble_pair(test, fit_method(method, train, solution))
+        point = _operating_point(*scores, method, reference)
         report.rows.append(
             MethodRow(method=method, recall=point.recall, fp=point.fp,
-                      tau=point.tau, ap=ap)
+                      tau=point.tau, ap=_average_precision(*scores))
         )
     return report

@@ -227,7 +227,7 @@ def _json_value(value, kind: type, where: str):
     """value read from JSON as kind (float, int or bool); else ParseError."""
     types, name = _JSON_KINDS[kind]
     if type(value) not in types:
-        raise ParseError(f"{where} is not {name}: {value!r}")
+        raise ParseError(f"{where} must be {name}, got {value!r}")
     return kind(value)
 
 

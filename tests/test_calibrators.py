@@ -35,7 +35,7 @@ from calib import (
     smoothed_targets,
     solve_exact,
 )
-from calib.calibrators import sigmoid_nll
+from calib.calibrators import NEWTON_GRAD_TOL, NEWTON_MAX_ITER, _fit_sigmoid, sigmoid_nll
 
 
 def monotone_fit_sse(y, w=None):
@@ -96,6 +96,144 @@ def test_pava_weighted_matches_enumeration(ys, ws):
     assert sse(ys, fit, w) == pytest.approx(monotone_fit_sse(ys, w), abs=1e-9)
     # weighted mean is preserved by pooling
     assert float(np.dot(w, fit)) == pytest.approx(float(np.dot(w, ys)), abs=1e-9)
+
+
+def unpooled_pava(values, weights=None):
+    """The block loop over every input point, with no pooling of equal runs."""
+    if weights is None:
+        weights = np.ones(len(values))
+    blocks = []  # [weighted mean, weight sum, point count]
+    for v, w in zip(values, weights):
+        blocks.append([float(v), float(w), 1])
+        while len(blocks) > 1 and blocks[-2][0] > blocks[-1][0]:
+            v1, w1, c1 = blocks.pop()
+            v0, w0, c0 = blocks.pop()
+            blocks.append([(v0 * w0 + v1 * w1) / (w0 + w1), w0 + w1, c0 + c1])
+    out = np.empty(len(values))
+    i = 0
+    for v, _, c in blocks:
+        out[i: i + c] = v
+        i += c
+    return out
+
+
+# Long sequences of few distinct values, so equal adjacent runs are common.
+runs_of_values = st.lists(
+    st.tuples(st.sampled_from([0.0, 1.0, 0.25, 0.5, -2.0, 3.75]),
+              st.integers(1, 30)),
+    min_size=0, max_size=60,
+).map(lambda runs: np.repeat([v for v, _ in runs], [n for _, n in runs]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(runs_of_values, st.booleans(), st.data())
+def test_run_pooled_pava_matches_unpooled_loop(ys, weighted, data):
+    w = None
+    if weighted:
+        w = np.array(data.draw(st.lists(st.floats(0.01, 50), min_size=len(ys),
+                                        max_size=len(ys))))
+    fit = pava(ys, w)
+    assert fit.shape == ys.shape
+    assert np.allclose(fit, unpooled_pava(ys, w), rtol=0.0, atol=1e-12)
+
+
+def test_pava_empty_and_single_point():
+    assert pava(np.array([])).shape == (0,)
+    assert pava(np.array([]), np.array([])).shape == (0,)
+    assert pava(np.array([0.7])).tolist() == [0.7]
+    assert pava(np.array([0.7]), np.array([3.0])).tolist() == [0.7]
+
+
+def unpooled_isotonic_maps(problem):
+    """Each classifier's (breakpoints, values) fitted with unpooled_pava."""
+    labels = np.concatenate([np.ones(problem.num_positives), np.zeros(problem.num_negatives)])
+    maps = []
+    for pos, neg in zip(problem.positive_scores, problem.negative_scores):
+        scores = np.concatenate([pos, neg])
+        order = np.argsort(scores, kind="stable")
+        xs, start = np.unique(scores[order], return_index=True)
+        sums = np.add.reduceat(labels[order], start)
+        counts = np.diff(np.append(start, len(scores)))
+        maps.append((xs, unpooled_pava(sums / counts, counts.astype(np.float64))))
+    return maps
+
+
+@pytest.mark.parametrize("decimals", [1, 2, 12])
+def test_fit_isotonic_matches_unpooled_fit(decimals):
+    # Rounded scores tie across samples; 12 decimals leaves them distinct.
+    rng = np.random.default_rng(decimals)
+    prob = Problem(np.round(rng.normal(0.8, 1, (5, 60)), decimals),
+                   np.round(rng.normal(0, 1, (5, 700)), decimals))
+    for params, (xs, values) in zip(fit_isotonic(prob).maps, unpooled_isotonic_maps(prob)):
+        assert np.array_equal(params.breakpoints, xs)
+        assert np.allclose(params.values, values, rtol=0.0, atol=1e-15)
+
+
+def newton_sigmoid_reference(scores, targets):
+    """The damped Newton fit run through all 60 halvings of every line
+    search; returns (a, b, exit), exit naming the test that ended it."""
+    a, b = 0.0, 0.0
+    f = sigmoid_nll(scores, targets, a, b)
+    for _ in range(NEWTON_MAX_ITER):
+        z = a * scores + b
+        p = 1.0 / (1.0 + np.exp(np.clip(z, -500, 500)))
+        residual = targets - p
+        grad = np.array([np.dot(residual, scores), residual.sum()])
+        if np.abs(grad).max() < NEWTON_GRAD_TOL:
+            return a, b, "gradient"
+        w = p * (1.0 - p)
+        h_aa = np.dot(w, scores * scores)
+        h_ab = np.dot(w, scores)
+        h_bb = w.sum()
+        hess = np.array([[h_aa, h_ab], [h_ab, h_bb]])
+        hess += 1e-12 * np.eye(2)
+        try:
+            step = np.linalg.solve(hess, -grad)
+        except np.linalg.LinAlgError:
+            step = -grad
+        t = 1.0
+        for _ in range(60):
+            fa = sigmoid_nll(scores, targets, a + t * step[0], b + t * step[1])
+            if fa < f:
+                a, b = a + t * step[0], b + t * step[1]
+                f = fa
+                break
+            t *= 0.5
+        else:
+            return a, b, "no-descent"
+    return a, b, "iterations"
+
+
+def sigmoid_problems():
+    """31 (scores, targets, joint) fits: 20 independent-style, 10
+    joint-style ones with one or two assigned positives near the top of
+    the negatives, as a classifier covering few positives gets, and one
+    with every score 0, where the step in a is exactly 0 and only b moves."""
+    rng = np.random.default_rng(17)
+    for i in range(30):
+        joint = i >= 20
+        num_pos = 1 + i % 2 if joint else int(rng.integers(5, 80))
+        num_neg = int(rng.integers(20, 400))
+        neg = rng.normal(-1.0, rng.uniform(0.3, 1.5), num_neg)
+        if joint:
+            pos = neg.max() + rng.uniform(-0.5, 1.0, num_pos)
+        else:
+            pos = rng.normal(rng.uniform(0.5, 3.0), rng.uniform(0.2, 1.5), num_pos)
+        t_pos, t_neg = smoothed_targets(num_pos, num_neg)
+        targets = np.concatenate([np.full(num_pos, t_pos), np.full(num_neg, t_neg)])
+        yield np.concatenate([pos, neg]), targets, joint
+    yield np.zeros(13), np.concatenate([np.full(3, 0.8), np.full(10, 1.0 / 12.0)]), False
+
+
+def test_fit_sigmoid_matches_full_line_search():
+    joint_exits = set()
+    for scores, targets, joint in sigmoid_problems():
+        a, b, how = newton_sigmoid_reference(scores, targets)
+        assert _fit_sigmoid(scores, targets) == (a, b)  # bit for bit
+        if joint:
+            joint_exits.add(how)
+    # the early return replaces the no-descent exit, so it must be exercised
+    assert "no-descent" in joint_exits
 
 
 def test_smoothed_targets():
@@ -169,8 +307,8 @@ def test_isotonic_monotone_and_pooled():
     )
     model = fit_isotonic(prob)
     params = model.maps[0]
-    assert params.breakpoints == (0.0, 1.0, 2.0)
-    assert params.values == (0.0, 0.5, 1.0)
+    assert params.breakpoints.tolist() == [0.0, 1.0, 2.0]
+    assert params.values.tolist() == [0.0, 0.5, 1.0]
     # step-below semantics between and outside breakpoints
     q = params(np.array([-3.0, 0.5, 1.0, 1.7, 9.0]))
     assert q.tolist() == [0.0, 0.0, 0.5, 0.5, 1.0]
@@ -285,6 +423,22 @@ def test_model_round_trip(tmp_path, toy, fit):
 def test_model_rejects_maps_its_method_cannot_hold(method, maps):
     with pytest.raises(ValidationError):
         CalibrationModel(method, maps)
+
+
+def test_isotonic_map_holds_read_only_arrays(tmp_path):
+    params = IsotonicParams([0.0, 1.0], [0.25, 0.75])
+    assert params.breakpoints.dtype == np.float64
+    with pytest.raises(ValueError):
+        params.values[0] = 1.0
+    assert params == IsotonicParams((0.0, 1.0), (0.25, 0.75))
+    assert params != IsotonicParams((0.0, 1.0), (0.25, 0.5))
+    assert params != ShiftParams(0.0)
+    # files hold plain number lists, as when the fields were tuples
+    save_model(CalibrationModel("isotonic", (params,)), tmp_path / "m.json")
+    doc = json.loads((tmp_path / "m.json").read_text())
+    assert doc["classifiers"] == [
+        {"kind": "isotonic", "breakpoints": [0.0, 1.0], "values": [0.25, 0.75]}
+    ]
 
 
 @pytest.mark.parametrize("breakpoints, values", [

@@ -447,8 +447,13 @@ def test_bench_writes_ablation_grid(tmp_path):
     ({"seeds": [1.5]}, "seed must be an integer"),
     ({"seeds": [True]}, "seed must be an integer"),
     ({"seeds": [1], "classifiers": 2.5}, "num_classifiers must be an integer"),
+    ({"seeds": [1], "noise": True}, "noise must be a number, got True"),
+    ({"seeds": [1], "budget_ms": True}, "budget_ms must be a number, got True"),
+    ({"seeds": [1, True]}, "seed must be an integer, got True"),
+    ({"seeds": 1}, "seeds is not an array"),
 ], ids=["ablations-key", "unknown-key", "string-seed", "float-seed",
-        "bool-seed", "float-size"])
+        "bool-seed", "float-size", "bool-noise", "bool-budget", "bool-seed-in-list",
+        "scalar-seeds"])
 def test_bench_bad_spec_exits_2(tmp_path, spec, named):
     path = tmp_path / "bench.json"
     path.write_text(json.dumps(spec))

@@ -149,6 +149,31 @@ def test_compare_methods_full_report():
             assert row.recall >= report.reference_recall
 
 
+def test_compare_methods_report_is_pinned():
+    # Values from the implementation that scored each model once per metric
+    # and pooled nothing before its PAVA loop.  Isotonic values may move by
+    # an ulp, so its AP is compared within a tolerance.
+    train, test = comparison_instance()
+    methods = ["joint-thresholds", "joint-sigmoid", "independent-sigmoid",
+               "isotonic", "affine"]
+    report = compare_methods(train, test, methods, solve_exact(train))
+    assert report.reference_recall == 0.8
+    expected = {
+        "joint-thresholds": (0.8, 3, 0.0, 0.8579545454545455),
+        "joint-sigmoid": (0.8, 7, 0.29774183118400344, 0.7444746481588587),
+        "independent-sigmoid": (0.8, 8, 0.33288721713347247, 0.7343873517786561),
+        "isotonic": (0.8, 3, 0.75, 0.4933620327041379),
+        "affine": (0.8, 7, 1.909384864068216, 0.7712745098039215),
+    }
+    for row in report.rows:
+        recall, fp, tau, ap = expected[row.method]
+        assert (row.recall, row.fp, row.tau) == (recall, fp, tau), row.method
+        if row.method == "isotonic":
+            assert row.ap == pytest.approx(ap, rel=0.0, abs=1e-9)
+        else:
+            assert row.ap == ap, row.method
+
+
 def test_compare_methods_dimension_guard():
     train, test = comparison_instance()
     other = Problem(np.zeros((2, 3)) + 1.0, np.zeros((2, 4)))
