@@ -431,12 +431,8 @@ def save_model(model: CalibrationModel, path) -> None:
         "method": model.method,
         "num_classifiers": model.num_classifiers,
         # vars, not asdict: asdict deep-copies every isotonic breakpoint.
-        "classifiers": [
-            {"kind": m.kind, **{k: v.tolist() if isinstance(v, np.ndarray) else v
-                                for k, v in vars(m).items()}}
-            for m in model.maps
-        ],
-        "degenerate": list(model.degenerate),
+        "classifiers": [{"kind": m.kind, **vars(m)} for m in model.maps],
+        "degenerate": model.degenerate,
     }
     _write_json(doc, path)
 

@@ -13,7 +13,9 @@ extraction rejects it with a ValidationError.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -50,7 +52,8 @@ class Problem:
         negative_scores: (E, N) float64 matrix.
         positive_ids / negative_ids: optional opaque per-column identifiers,
             unique within each list.
-        metadata: optional free-form string key/value pairs.
+        metadata: optional free-form string key/value pairs; a key or
+            value that is not a string raises ValidationError.
 
     Immutable after construction; the score arrays are marked read-only so a
     Problem can be shared freely between threads.
@@ -100,6 +103,12 @@ class Problem:
                 dup = next(x for x in ids if ids.count(x) > 1)
                 raise ValidationError(f"{name} contains duplicate id {dup!r}")
             object.__setattr__(self, name, ids)
+        if self.metadata is not None:
+            if not isinstance(self.metadata, dict) or not all(
+                isinstance(k, str) and isinstance(v, str) for k, v in self.metadata.items()
+            ):
+                raise ValidationError("metadata must map string keys to string values")
+            object.__setattr__(self, "metadata", dict(self.metadata))
 
     @property
     def num_classifiers(self) -> int:
@@ -210,11 +219,73 @@ def _read_json(path) -> dict:
     return doc
 
 
-def _write_json(doc: dict, path) -> None:
+def _encode(o, level: int):
+    """Pieces of json.dumps(o, indent=1) for o nested ``level`` deep; a
+    numpy array is written as its (nested) list of values.  Scalars and
+    empty containers are json.dumps's own text."""
+    if isinstance(o, np.ndarray):
+        o = o.tolist() if o.ndim < 2 else list(o)
+    if isinstance(o, (list, tuple)) and o:
+        yield from _encode_list(o, level)
+    elif isinstance(o, dict) and o:
+        yield from _encode_dict(o, level)
+    else:
+        yield json.dumps(o)
+
+
+def _encode_list(items, level: int):
+    indent = "\n" + " " * (level + 1)
+    close = "\n" + " " * level + "]"
     try:
-        Path(path).write_text(json.dumps(doc, indent=1) + "\n")
+        # A row of floats in one C-level join.  Only a non-finite float's
+        # repr ("inf", "nan") holds an "n"; such a row takes the item loop.
+        text = ("," + indent).join(map(float.__repr__, items))
+    except TypeError:  # not all floats
+        text = None
+    if text is not None and "n" not in text:
+        yield "[" + indent + text + close
+        return
+    yield "["
+    for i, item in enumerate(items):
+        yield "," + indent if i else indent
+        yield from _encode(item, level + 1)
+    yield close
+
+
+def _encode_dict(d: dict, level: int):
+    indent = "\n" + " " * (level + 1)
+    yield "{"
+    for i, (key, value) in enumerate(d.items()):
+        if not isinstance(key, (str, int, float)) and key is not None:
+            raise TypeError(
+                f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+            )
+        text = key if isinstance(key, str) else json.dumps(key)
+        yield ("," + indent if i else indent) + json.dumps(text) + ": "
+        yield from _encode(value, level + 1)
+    yield "\n" + " " * level + "}"
+
+
+def _write_json(doc: dict, path) -> None:
+    """Write json.dumps(doc, indent=1) + "\n" to path, streamed piece by
+    piece, so no copy of the whole text is held; numpy arrays are written as
+    lists.  If writing or encoding fails part-way, the partial file is
+    removed before the error is raised."""
+    try:
+        f = open(path, "w", encoding="ascii")
     except OSError as e:
         raise IoError(f"cannot write {path}: {e}") from e
+    try:
+        with f:
+            f.writelines(_encode(doc, 0))
+            f.write("\n")
+    except BaseException as e:
+        if os.path.isfile(path):  # never a device or a pipe
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        if isinstance(e, OSError):
+            raise IoError(f"cannot write {path}: {e}") from e
+        raise
 
 
 # The JSON types each kind of field accepts.  Types match exactly, so true
@@ -266,15 +337,16 @@ def _ids_from_doc(doc: dict, key: str) -> tuple | None:
     ids = doc.get(key)
     if ids is not None and not isinstance(ids, list):
         raise ParseError(f"field {key!r} is not an array")
-    return tuple(ids) if ids else None
+    return None if ids is None else tuple(ids)
 
 
 def load_problem(path) -> Problem:
     """Load and validate a problem file.
 
     Raises ParseError for malformed files and ValidationError for structural
-    violations (ragged matrix, non-finite score, P = 0, duplicate id); both
-    name the offending row/column.
+    violations (ragged matrix, non-finite score, P = 0, id count or duplicate
+    id, metadata that is not string to string); matrix errors name the
+    offending row/column.
     """
     doc = _read_json(path)
     version = _json_value(doc.get("version"), int, "version")
@@ -285,18 +357,12 @@ def load_problem(path) -> Problem:
         raise ValidationError(f"num_classifiers must be a positive integer, got {e!r}")
     pos = _matrix_from_doc(doc, "positive_scores", e)
     neg = _matrix_from_doc(doc, "negative_scores", e)
-    metadata = doc.get("metadata")
-    if metadata is not None and (
-        not isinstance(metadata, dict)
-        or any(not isinstance(k, str) or not isinstance(v, str) for k, v in metadata.items())
-    ):
-        raise ParseError("metadata must be an object with string values")
     return Problem(
         positive_scores=pos,
         negative_scores=neg,
         positive_ids=_ids_from_doc(doc, "positive_ids"),
         negative_ids=_ids_from_doc(doc, "negative_ids"),
-        metadata=dict(metadata) if metadata else None,
+        metadata=doc.get("metadata"),
     )
 
 
@@ -304,24 +370,21 @@ def save_problem(problem: Problem, path) -> None:
     doc = {
         "version": PROBLEM_FORMAT_VERSION,
         "num_classifiers": problem.num_classifiers,
-        "positive_scores": problem.positive_scores.tolist(),
-        "negative_scores": problem.negative_scores.tolist(),
+        "positive_scores": problem.positive_scores,
+        "negative_scores": problem.negative_scores,
     }
-    if problem.positive_ids is not None:
-        doc["positive_ids"] = list(problem.positive_ids)
-    if problem.negative_ids is not None:
-        doc["negative_ids"] = list(problem.negative_ids)
-    if problem.metadata is not None:
-        doc["metadata"] = dict(problem.metadata)
+    for key in ("positive_ids", "negative_ids", "metadata"):
+        if getattr(problem, key) is not None:
+            doc[key] = getattr(problem, key)
     _write_json(doc, path)
 
 
 def save_solution(solution: Solution, path) -> None:
     stats = solution.stats
     doc = {
-        "thresholds": list(solution.config),
+        "thresholds": solution.config,
         "loss": solution.loss,
-        "assignment": list(solution.assignment),
+        "assignment": solution.assignment,
         "optimal": solution.optimal,
         "fallback": solution.fallback,
         # Field order is key order, so a new SearchStats field is saved too.

@@ -27,13 +27,14 @@ Reference outputs (counter 0,1,2,...):
 Uniforms are (output >> 11) * 2^-53 in [0, 1); a zero uniform is clamped to
 2^-53 before logs.  Normal i consumes uniforms (2i, 2i+1) via the Box-Muller
 cosine branch:  sqrt(-2 ln u0) * cos(2 pi u1)  (the sine twin is discarded).
-One generate() call consumes blocks in a fixed order: centers, positive
-cluster assignments, positive offsets, negatives, score noise, planted
-pairs; block sizes are functions of the spec alone.
+One generate() call consumes segments of the stream in a fixed order:
+centers, positive cluster assignments, positive offsets, negatives, score
+noise, planted pairs; segment lengths are functions of the spec alone.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -47,16 +48,33 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64 = np.uint64(2**64 - 1)
 
+# Counter positions drawn per block; caps each draw's temporaries.
+_BLOCK_DRAWS = 1 << 15
+
 
 class CounterRng:
-    """SplitMix64 evaluated at an advancing counter; see module docstring."""
+    """SplitMix64 evaluated at an advancing counter; see module docstring.
+
+    Each call fills its output one block of _BLOCK_DRAWS counter positions
+    at a time, so its temporaries stay a fixed size whatever n is; every
+    output depends only on its own counter, so the block size changes no bit.
+    """
 
     def __init__(self, seed: int):
         self.seed = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
         self.counter = 0
 
-    def raw(self, n: int) -> np.ndarray:
-        """Next n 64-bit outputs, as uint64."""
+    def _fill(self, n: int, draws: int, draw, dtype=np.float64) -> np.ndarray:
+        """n outputs of draw(m), computed one block of at most _BLOCK_DRAWS
+        counter positions at a time; each output takes ``draws`` of them."""
+        out = np.empty(n, dtype=dtype)
+        step = max(1, _BLOCK_DRAWS // draws)
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            out[lo:hi] = draw(hi - lo)
+        return out
+
+    def _raw(self, n: int) -> np.ndarray:
         idx = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
         self.counter += n
         z = (self.seed + idx * _GAMMA) & _U64
@@ -64,16 +82,26 @@ class CounterRng:
         z = ((z ^ (z >> np.uint64(27))) * _MIX2) & _U64
         return z ^ (z >> np.uint64(31))
 
-    def uniform(self, n: int) -> np.ndarray:
-        """n doubles in [0, 1) with 53-bit resolution."""
-        return (self.raw(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    def _uniform(self, n: int) -> np.ndarray:
+        return (self._raw(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
-    def normal(self, n: int) -> np.ndarray:
-        """n standard normals (two uniforms each, cosine Box-Muller)."""
-        u = self.uniform(2 * n)
+    def _normal(self, n: int) -> np.ndarray:
+        u = self._uniform(2 * n)
         u0 = np.maximum(u[0::2], 2.0**-53)
         u1 = u[1::2]
         return np.sqrt(-2.0 * np.log(u0)) * np.cos(2.0 * math.pi * u1)
+
+    def raw(self, n: int) -> np.ndarray:
+        """Next n 64-bit outputs, as uint64."""
+        return self._fill(n, 1, self._raw, np.uint64)
+
+    def uniform(self, n: int) -> np.ndarray:
+        """n doubles in [0, 1) with 53-bit resolution."""
+        return self._fill(n, 1, self._uniform)
+
+    def normal(self, n: int) -> np.ndarray:
+        """n standard normals (two uniforms each, cosine Box-Muller)."""
+        return self._fill(n, 2, self._normal)
 
     def integers(self, n: int, bound: int) -> np.ndarray:
         """n ints uniform over [0, bound) (floor of scaled uniforms)."""
@@ -140,9 +168,11 @@ class GenerateSpec:
 
 
 def _unit_rows(m: np.ndarray) -> np.ndarray:
+    """Scale each row of m to unit length in place (zero rows stay zero)."""
     norms = np.linalg.norm(m, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
-    return m / norms
+    m /= norms
+    return m
 
 
 def generate(spec: GenerateSpec) -> tuple[Problem, Problem]:
@@ -155,14 +185,20 @@ def generate(spec: GenerateSpec) -> tuple[Problem, Problem]:
         raise InvalidSpec("split_fraction leaves the test problem without positives")
     p_all = p_train + p_test
     n_all = n_train + n_test
+    M = p_all + n_all
 
     rng = CounterRng(spec.seed)
     centers = _unit_rows(rng.normal(E * d).reshape(E, d))
     assign = rng.integers(p_all, E)
-    offsets = rng.normal(p_all * d).reshape(p_all, d)
-    positives = centers[assign] + spec.spread * offsets
-    negatives = _unit_rows(rng.normal(n_all * d).reshape(n_all, d))
-    noise = rng.normal(E * (p_all + n_all)).reshape(E, p_all + n_all)
+    # One (M, d) array of samples, positives first.
+    samples = np.empty((M, d))
+    positives = samples[:p_all]
+    positives[:] = centers[assign] + spec.spread * rng.normal(p_all * d).reshape(p_all, d)
+    samples[p_all:] = _unit_rows(rng.normal(n_all * d).reshape(n_all, d))
+    # The score noise comes next in the stream but is added to the scores
+    # below, row block by row block; the planted pairs draw after it.
+    noise_rng = copy.copy(rng)
+    rng.counter += 2 * E * M
 
     k = spec.planted_count()
     if k > 0:
@@ -172,8 +208,11 @@ def generate(spec: GenerateSpec) -> tuple[Problem, Problem]:
         mid = _unit_rows(centers[first] + centers[second])
         positives[p_train - k: p_train] = spec.hardness_scale * mid
 
-    scores = centers @ np.concatenate([positives, negatives]).T
-    scores += spec.noise * noise
+    scores = centers @ samples.T
+    rows = max(1, _BLOCK_DRAWS // (2 * M))
+    for lo in range(0, E, rows):
+        hi = min(lo + rows, E)
+        scores[lo:hi] += spec.noise * noise_rng.normal((hi - lo) * M).reshape(hi - lo, M)
     pos_scores, neg_scores = scores[:, :p_all], scores[:, p_all:]
 
     meta = {

@@ -80,6 +80,16 @@ def test_generate_defaults_are_the_specs(tmp_path):
     assert out.read_bytes() == ref.read_bytes()
 
 
+def test_generate_to_directory_exits_2(tmp_path):
+    out = tmp_path / "dir"
+    out.mkdir()
+    res = run("generate", *GOLDEN_ARGS, "--out", str(out))
+    assert res.returncode == 2
+    assert "IoError" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert [p.name for p in tmp_path.rglob("*")] == ["dir"]
+
+
 def test_generate_writes_test_split(tmp_path):
     out, test_out = tmp_path / "train.json", tmp_path / "test.json"
     res = run("generate", *GOLDEN_ARGS, "--test-out", str(test_out), "--out", str(out))

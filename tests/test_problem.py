@@ -1,10 +1,12 @@
 """Problem container, loss/feasibility primitives, JSON round trips."""
 
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from calib import (
@@ -15,17 +17,20 @@ from calib import (
     SearchStats,
     ShiftParams,
     Solution,
+    GenerateSpec,
     ValidationError,
     check_feasible,
     compute_loss,
     derive_assignment,
     ensemble_scores,
+    generate,
     load_problem,
     load_solution,
     save_problem,
     save_solution,
 )
 
+from calib.problem import _write_json
 from conftest import toy_two_by_two
 
 
@@ -100,6 +105,125 @@ def test_problem_round_trip(tmp_path):
     assert q.positive_ids == ("a", "b")
     assert q.negative_ids == ("x", "y", "z")
     assert q.metadata["note"] == "round trip"
+
+
+def load_problem_from(tmp_path, fields):
+    """Load a one-classifier problem file (P=1, N=1) with fields replaced."""
+    doc = {"version": 1, "num_classifiers": 1, "positive_scores": [[0.5]],
+           "negative_scores": [[0.1]], **fields}
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(doc))
+    return load_problem(path)
+
+
+def test_constructed_problem_round_trips(tmp_path):
+    p = Problem(
+        positive_scores=np.array([[0.5]]),
+        negative_scores=np.empty((1, 0)),
+        negative_ids=(),
+        metadata={"k": "1", "": "\u00e9"},
+    )
+    path = tmp_path / "p.json"
+    save_problem(p, path)
+    q = load_problem(path)
+    assert q.positive_ids is None and q.negative_ids == ()
+    assert q.metadata == {"k": "1", "": "\u00e9"}
+    assert load_problem_from(tmp_path, {"metadata": {}}).metadata == {}
+
+
+@pytest.mark.parametrize("metadata", [{"k": 1}, {1: "v"}, {"k": None}, ["k", "v"]])
+def test_metadata_must_map_strings_to_strings(metadata):
+    with pytest.raises(ValidationError, match="metadata"):
+        Problem(positive_scores=np.array([[0.5]]), negative_scores=np.array([[0.1]]),
+                metadata=metadata)
+
+
+@pytest.mark.parametrize("key", ["positive_ids", "negative_ids"])
+def test_empty_id_array_is_a_length_error(tmp_path, key):
+    with pytest.raises(ValidationError, match=f"{key} has 0 entries, expected 1"):
+        load_problem_from(tmp_path, {key: []})
+
+
+def test_file_metadata_must_map_strings_to_strings(tmp_path):
+    with pytest.raises(ValidationError, match="metadata"):
+        load_problem_from(tmp_path, {"metadata": {"k": 1}})
+
+
+# Floats at the edges of what json.dumps writes: signed zero, the smallest
+# subnormal, the largest magnitudes and the non-finite values.
+EDGE_FLOATS = st.sampled_from([-0.0, 5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan])
+SCALARS = st.one_of(EDGE_FLOATS, st.floats(), st.integers(), st.booleans(), st.none(),
+                    st.text())
+KEYS = st.one_of(st.text(), st.integers(), EDGE_FLOATS, st.booleans(), st.none())
+DOCS = st.dictionaries(KEYS, st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(st.lists(inner), st.lists(inner).map(tuple),
+                            st.lists(EDGE_FLOATS | st.floats()),
+                            st.dictionaries(KEYS, inner)),
+    max_leaves=40,
+))
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=DOCS)
+def test_writer_bytes_equal_json_dumps(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    _write_json(doc, path)
+    assert path.read_bytes() == (json.dumps(doc, indent=1) + "\n").encode()
+
+
+@pytest.mark.parametrize("array", [
+    np.array([[1.5, -0.0], [np.inf, np.nan]]),
+    np.array([0.1, 5e-324, -1e308]),
+    np.empty((0, 3)),
+    np.empty((2, 0)),
+    np.arange(4).reshape(2, 2),
+], ids=["non-finite", "row", "no-rows", "empty-rows", "ints"])
+def test_writer_writes_arrays_as_lists(tmp_path, array):
+    path = tmp_path / "doc.json"
+    _write_json({"a": array, "rows": [array]}, path)
+    expected = {"a": array.tolist(), "rows": [array.tolist()]}
+    assert path.read_text() == json.dumps(expected, indent=1) + "\n"
+
+
+def test_writer_removes_partial_file(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text("old")
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        _write_json({"rows": [np.zeros(100_000), object()]}, path)
+    assert not path.exists()
+    with pytest.raises(TypeError, match="keys must be"):
+        _write_json({"a": 1.0, (1, 2): 2}, path)
+    assert not path.exists()
+
+
+MID_SPEC = GenerateSpec(seed=5, num_classifiers=40, num_positives=50, num_negatives=4000)
+
+
+def traced_peak(fn, *args):
+    """Peak bytes traced (numpy buffers included) during fn(*args), above
+    what was allocated before the call."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_generate_memory_is_bounded():
+    train, test = generate(MID_SPEC)
+    output = sum(m.nbytes for p in (train, test)
+                 for m in (p.positive_scores, p.negative_scores))
+    del train, test
+    assert traced_peak(generate, MID_SPEC) <= 3 * output
+
+
+def test_save_problem_memory_is_bounded(tmp_path):
+    train, _ = generate(MID_SPEC)
+    matrix = train.positive_scores.nbytes + train.negative_scores.nbytes
+    assert traced_peak(save_problem, train, tmp_path / "p.json") <= matrix
 
 
 def test_solution_round_trip(tmp_path):

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from calib import CounterRng, GenerateSpec, InvalidSpec, generate
+from calib import CounterRng, GenerateSpec, InvalidSpec, generate, synthgen
 
 # Reference outputs of the SplitMix64 mix at counters 1..3.  Independently
 # derived from the published constants (gamma 0x9E3779B97F4A7C15, multipliers
@@ -93,6 +93,17 @@ def test_generate_deterministic():
     assert np.array_equal(a_train.negative_scores, b_train.negative_scores)
     assert np.array_equal(a_test.positive_scores, b_test.positive_scores)
     assert np.array_equal(a_test.negative_scores, b_test.negative_scores)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_generate_does_not_depend_on_block_size(monkeypatch, block):
+    spec = replace(BASE, hardness_fraction=0.5)  # every stream segment drawn
+    whole = generate(spec)
+    monkeypatch.setattr(synthgen, "_BLOCK_DRAWS", block)
+    blocked = generate(spec)
+    for a, b in zip(whole, blocked):
+        assert a.positive_scores.tobytes() == b.positive_scores.tobytes()
+        assert a.negative_scores.tobytes() == b.negative_scores.tobytes()
 
 
 def test_generate_seed_changes_output():
