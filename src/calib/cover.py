@@ -69,17 +69,8 @@ class CoverState:
         self.positions = np.zeros(E, dtype=np.intp)
         self.fp = np.zeros(W, dtype=np.uint64)
         self.fp_count = 0
-        self.journal: list[tuple[int, int, np.ndarray]] = []  # (classifier, old, newly)
-
-    def _newly(self, classifier, target) -> np.ndarray:
-        """Negatives the edge(s) would newly cover, after the monotonicity check."""
-        cur = self.positions[classifier]
-        if (target < cur).any():
-            raise MonotonicityViolation(
-                f"classifier {classifier}: target position {target} is tighter "
-                f"than current {cur}"
-            )
-        return self.rows[classifier, target] & ~self.fp
+        # (classifier, old position, newly covered, their count)
+        self.journal: list[tuple[int, int, np.ndarray, int]] = []
 
     def peek_edge(self, classifier, target) -> tuple[np.ndarray, np.ndarray]:
         """Loss increase and newly covered negatives of edges, unapplied.
@@ -87,7 +78,13 @@ class CoverState:
         Takes one classifier and target, or equal-length arrays of them and
         then returns one loss increase and one packed row per edge.
         """
-        newly = self._newly(classifier, target)
+        cur = self.positions[classifier]
+        if (target < cur).any():
+            raise MonotonicityViolation(
+                f"classifier {classifier}: target position {target} is tighter "
+                f"than current {cur}"
+            )
+        newly = self.rows[classifier, target] & ~self.fp
         return np.bitwise_count(newly).sum(-1), newly
 
     def apply_edge(self, classifier: int, target: int) -> int:
@@ -98,10 +95,17 @@ class CoverState:
         position; a no-op edge (target == current) is journaled like any
         other.
         """
-        newly = self._newly(classifier, target)
+        old = self.positions.item(classifier)
+        if target < old:
+            raise MonotonicityViolation(
+                f"classifier {classifier}: target position {target} is tighter "
+                f"than current {old}"
+            )
+        newly = self.rows[classifier, target] & ~self.fp
+        inc = int(np.bitwise_count(newly).sum())
         self.fp |= newly
-        self.fp_count += int(np.bitwise_count(newly).sum())
-        self.journal.append((classifier, int(self.positions[classifier]), newly))
+        self.fp_count += inc
+        self.journal.append((classifier, old, newly, inc))
         self.positions[classifier] = target
         return self.fp_count
 
@@ -109,21 +113,11 @@ class CoverState:
         """Exact inverse of the most recent apply_edge."""
         if not self.journal:
             raise EmptyJournal("undo with no pending apply")
-        classifier, old, newly = self.journal.pop()
+        classifier, old, newly, inc = self.journal.pop()
         assert not (newly & ~self.fp).any(), "undo does not mirror its apply"
         self.fp ^= newly
-        self.fp_count -= int(np.bitwise_count(newly).sum())
+        self.fp_count -= inc
         self.positions[classifier] = old
-
-    def is_positive_covered(self, positive: int) -> bool:
-        return bool((self.positions >= self.cover_position[:, positive]).any())
-
-    def covering_classifier(self, positive: int) -> int:
-        """Smallest classifier index currently covering the given positive."""
-        covering = np.flatnonzero(self.positions >= self.cover_position[:, positive])
-        if not covering.size:
-            raise ValueError(f"positive {positive} is not covered")
-        return int(covering[0])
 
     def config(self) -> tuple[float, ...]:
         """Threshold values of the current candidate positions."""

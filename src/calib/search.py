@@ -140,6 +140,8 @@ def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solut
     levels = tree.level_positives
     h = len(levels)
     classifiers = np.arange(problem.num_classifiers)
+    # Row p holds every classifier's cover position of positive p, contiguous.
+    cover_by_level = np.ascontiguousarray(state.cover_position.T)
 
     stats = SearchStats(levels=h)
     stats.positives_removed_by_root = len(tree.root_covered)
@@ -167,36 +169,48 @@ def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solut
             return True
         return False
 
-    def plan_children(p: int) -> list[tuple[int, int, int]]:
-        """(incremental loss, classifier, target) per child, in (inc, j) order."""
-        targets = state.cover_position[:, p]
+    def plan_children(p: int) -> tuple[list[int], list[int], list[int]]:
+        """Increments, classifiers and targets of the children, in (inc, j) order."""
+        targets = cover_by_level[p]
         incs, newly = state.peek_edge(classifiers, targets)
-        inc_list, target_list = incs.tolist(), targets.tolist()
-        children: list[tuple[int, int, int]] = []
-        seen: set[bytes] = set()
-        for j in np.argsort(incs, kind="stable").tolist():
-            if options.enable_prune_equivalence:
-                # Packed bits are canonical, so byte equality is exact set equality.
-                key = newly[j].tobytes()
+        order = np.argsort(incs, kind="stable")
+        incs = incs[order]
+        if options.enable_prune_equivalence:
+            # Equal sets have equal increments, so only a run of tied
+            # increments can hold one; the first of each set is kept.
+            # Packed bits are canonical, so byte equality is exact set equality.
+            dropped: list[int] = []
+            run_end = -1
+            for k in (incs[1:] == incs[:-1]).nonzero()[0].tolist():
+                # Child k + 1 ties with child k, in the run ending at k or a new one.
+                if k != run_end:
+                    seen = {newly[order[k]].tobytes()}
+                run_end = k + 1
+                key = newly[order[run_end]].tobytes()
                 if key in seen:
-                    stats.nodes_pruned_equivalence += 1
-                    continue
-                seen.add(key)
-            children.append((inc_list[j], j, target_list[j]))
-        return children
+                    dropped.append(run_end)
+                else:
+                    seen.add(key)
+            if dropped:
+                stats.nodes_pruned_equivalence += len(dropped)
+                order, incs = np.delete(order, dropped), np.delete(incs, dropped)
+        return incs.tolist(), order.tolist(), targets[order].tolist()
 
     def expand(depth: int) -> Iterator[None]:
         """Yield once per child entered, with the child's edge applied."""
         p = levels[depth]
-        if state.is_positive_covered(p):
-            # Pass-through node: the level's positive is already covered.
-            assignment[p] = state.covering_classifier(p)
+        covering = state.positions >= cover_by_level[p]
+        j = int(covering.argmax())
+        if covering[j]:
+            # Pass-through node: the level's positive is already covered;
+            # argmax names the first classifier covering it.
+            assignment[p] = j
             yield
             return
         # Planned in full before any child is entered, so a budget firing below
-        # still counts every equivalence prune; a suspended node holds tuples.
-        children = plan_children(p)
-        for k, (inc, j, target) in enumerate(children):
+        # still counts every equivalence prune.
+        incs, js, targets = plan_children(p)
+        for k, inc in enumerate(incs):
             if (
                 options.enable_prune_bound
                 and best_loss is not None
@@ -204,9 +218,10 @@ def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solut
             ):
                 # Children come in ascending inc and best_loss only falls,
                 # so every later sibling fails the bound too.
-                stats.nodes_pruned_bound += len(children) - k
+                stats.nodes_pruned_bound += len(incs) - k
                 return
-            state.apply_edge(j, target)
+            j = js[k]
+            state.apply_edge(j, targets[k])
             assignment[p] = j
             yield
             state.undo_edge()
@@ -223,9 +238,10 @@ def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solut
             best_loss = state.fp_count
             best_config = state.config()
             best_assignment = list(assignment)  # type: ignore[arg-type]
-            stats.incumbent_history.append((elapsed_ms(), best_loss))
+            ms = elapsed_ms()
+            stats.incumbent_history.append((ms, best_loss))
             if options.trace is not None:
-                options.trace(elapsed_ms(), stats.nodes_visited, best_loss)
+                options.trace(ms, stats.nodes_visited, best_loss)
         return True
 
     # Depth-first: the top iterator either enters its next child, one level

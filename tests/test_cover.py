@@ -32,11 +32,16 @@ def fp_bits(st):
     return bits(st.fp, st.problem.num_negatives)
 
 
+def covering(st, positive):
+    """Classifiers whose current position covers the positive."""
+    return np.flatnonzero(st.positions >= st.cover_position[:, positive]).tolist()
+
+
 def test_root_state_toy(toy):
     st = make_state(toy)
     assert st.fp_count == 0
     # sentinels cover nothing in this toy
-    assert not any(st.is_positive_covered(p) for p in range(toy.num_positives))
+    assert not any(covering(st, p) for p in range(toy.num_positives))
     assert st.config() == (7.0, 4.2)
     assert st.positions.tolist() == [0, 0]
     assert not fp_bits(st).any()
@@ -50,14 +55,11 @@ def test_apply_undo_single_edge(toy):
     assert st.apply_edge(0, 2) == 2
     assert np.flatnonzero(fp_bits(st)).tolist() == [0, 1]
     assert st.positions.tolist() == [2, 0]
-    assert st.is_positive_covered(0) and st.is_positive_covered(1)
-    assert st.covering_classifier(0) == st.covering_classifier(1) == 0
+    assert covering(st, 0) == covering(st, 1) == [0]
     st.assert_consistent()
     st.undo_edge()
     assert st.fp_count == 0
-    assert not st.is_positive_covered(0) and not st.is_positive_covered(1)
-    with pytest.raises(ValueError):
-        st.covering_classifier(0)
+    assert covering(st, 0) == covering(st, 1) == []
     assert st.positions.tolist() == [0, 0]
     st.assert_consistent()
 
@@ -148,7 +150,7 @@ def test_random_walk_apply_undo_round_trip(seed):
         assert np.array_equal(newly_bits, row & ~before_neg)
         theta = np.array(st.config())[:, None]
         covered = (prob.positive_scores > theta).any(axis=0).tolist()
-        assert [st.is_positive_covered(p) for p in range(prob.num_positives)] == covered
+        assert [bool(covering(st, p)) for p in range(prob.num_positives)] == covered
         steps += 1
         if steps % 7 == 0:
             st.assert_consistent()

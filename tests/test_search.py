@@ -1,5 +1,7 @@
 """Branch-and-bound search: exact optimality, ablations, budgets, redundancy."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -174,6 +176,15 @@ def test_trace_callback_fires(toy):
     assert events == [2]
 
 
+def test_trace_times_equal_incumbent_history():
+    # the trace callback and the stored history read one clock reading each
+    for seed in range(10):
+        events = []
+        opts = SearchOptions(trace=lambda ms, nodes, loss: events.append((ms, loss)))
+        sol = solve_exact(small_problem(seed), opts)
+        assert events == sol.stats.incumbent_history
+
+
 def test_options_validation():
     with pytest.raises(ValueError):
         SearchOptions(budget_ms=0)
@@ -207,6 +218,86 @@ def test_traversal_counts_pinned():
                       st.nodes_pruned_equivalence, st.positives_removed_by_root]
             totals[name] = [a + b for a, b in zip(totals[name], counts)]
     assert totals == TRAVERSAL_TOTALS
+
+
+def tie_heavy_problem(seed: int) -> Problem:
+    """Small problem with integer scores in 0..4, so sibling increments tie.
+
+    Odd seeds copy classifier 0 into rows 1 and 2: those siblings cover equal
+    sets, while other tied siblings cover distinct ones.
+    """
+    rng = random.Random(seed)
+    E, P, N = rng.randint(3, 6), rng.randint(2, 6), rng.randint(4, 12)
+
+    def scores(n):
+        return [[float(rng.randint(0, 4)) for _ in range(n)] for _ in range(E)]
+
+    pos, neg = np.array(scores(P)), np.array(scores(N))
+    if seed % 2:
+        pos[1:3], neg[1:3] = pos[0], neg[0]
+    return Problem(positive_scores=pos, negative_scores=neg)
+
+
+# Golden totals over tie_heavy_problem(0..199) of [nodes_visited,
+# nodes_pruned_bound, nodes_pruned_equivalence] per named ablation.  Runs
+# of three or more tied increments occur here with all-equal, all-distinct
+# and mixed sets, so these pin equivalence pruning where TRAVERSAL_TOTALS
+# sees few ties.
+TIE_TOTALS = {
+    "all-on": [1016, 732, 527],
+    "no-bound": [3941, 0, 1040],
+    "no-equivalence": [1059, 1367, 0],
+    "no-depth-reduction": [1143, 732, 527],
+    "random-order": [1295, 1181, 922],
+    "all-off": [14326, 0, 0],
+}
+
+
+def test_tied_increment_counts_pinned():
+    totals = {name: [0, 0, 0] for name in search.ABLATIONS}
+    for seed in range(200):
+        prob = tie_heavy_problem(seed)
+        for name, flags in search.ABLATIONS.items():
+            sol = solve_exact(prob, SearchOptions(random_order_seed=seed, **flags))
+            assert sol.loss == oracle_solve(prob).loss
+            st = sol.stats
+            counts = [st.nodes_visited, st.nodes_pruned_bound, st.nodes_pruned_equivalence]
+            totals[name] = [a + b for a, b in zip(totals[name], counts)]
+    assert totals == TIE_TOTALS
+
+
+def test_search_edges_go_through_cover_state_methods(monkeypatch):
+    """perfbench/tracer.py times the search's coverage work by wrapping these
+    methods on the class, so a solve must reach every edge through them."""
+    problems = [small_problem(s) for s in range(20)] + [tie_heavy_problem(s) for s in range(20)]
+    cases = [(prob, flags) for prob in problems for flags in ({}, search.ABLATIONS["all-off"])]
+    plain = [solve_exact(prob, SearchOptions(**flags)) for prob, flags in cases]
+    calls = dict.fromkeys(("peek_edge", "apply_edge", "undo_edge"), 0)
+    for name in calls:
+        def counted(self, *args, _name=name, _method=getattr(CoverState, name)):
+            calls[_name] += 1
+            return _method(self, *args)
+        monkeypatch.setattr(CoverState, name, counted)
+
+    def counters(st):
+        return st.nodes_visited, st.nodes_pruned_bound, st.nodes_pruned_equivalence
+
+    for (prob, flags), ref in zip(cases, plain):
+        calls.update(dict.fromkeys(calls, 0))
+        sol = solve_exact(prob, SearchOptions(**flags))
+        st = sol.stats
+        assert (sol.loss, sol.config, sol.assignment) == (ref.loss, ref.config, ref.assignment)
+        assert counters(st) == counters(ref.stats)
+        # One peek per expanded node prices its E children; each child is
+        # then pruned by equivalence or bound, or entered: one apply, one undo.
+        entered = calls["apply_edge"]
+        assert calls["undo_edge"] == entered
+        assert calls["peek_edge"] * prob.num_classifiers == (
+            entered + st.nodes_pruned_bound + st.nodes_pruned_equivalence)
+        # Every visit but the root enters a child, by an edge or a pass-through.
+        assert entered <= st.nodes_visited - 1
+        if flags:
+            assert calls["peek_edge"] * prob.num_classifiers == entered
 
 
 def test_deep_tree_is_not_bounded_by_recursion():
