@@ -1,20 +1,32 @@
 """Exhaustive reference solver over the candidate threshold grid.
 
-Deliberately independent of the tree search: coverage per candidate is
-precomputed as integer bitmasks and every grid cell is enumerated, so the
-only shared assumption is the candidate grid itself.  Meant for tests and
-small instances; the grid has prod(M_j) cells and grows fast.
+Deliberately independent of the tree search: it shares only the candidate
+grid with it.  Each candidate's coverage is packed from the raw scores into
+little-endian uint64 words, one bit per positive and one per negative, and
+every grid cell is enumerated.  The cells of the last k classifiers form a
+suffix table of OR-combined words, k as large as fits ``_BLOCK_BYTES``; each
+prefix of the first E - k classifiers is ORed into the whole table at once,
+so a block of cells costs a few numpy calls rather than one Python call per
+cell.  That enumerates several million cells per second; the grid has
+prod(M_j) cells and grows fast, so this is meant for tests and small
+instances.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import TooLarge, ValidationError
 from .problem import Problem
 from .thresholds import extract_candidates
 
 GRID_CAP = 10_000_000
+
+# Cap on the suffix table of packed words that one block of cells reads.
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -38,6 +50,16 @@ def oracle_node_count(num_classifiers: int, num_positives: int) -> int:
     return (E ** (P + 1) - 1) // (E - 1)
 
 
+def _packed_masks(scores: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """(E, T, W) words: bit i of [j, t] is set iff scores[j, i] > thresholds[j, t]."""
+    E, n = scores.shape
+    W = -(-n // 64)
+    bits = np.zeros((E, thresholds.shape[1], W * 64), dtype=bool)
+    np.greater(scores[:, None, :], thresholds[:, :, None], out=bits[..., :n])
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    return packed.view(np.uint64).reshape(E, thresholds.shape[1], W)
+
+
 def oracle_solve(problem: Problem, cap: int = GRID_CAP) -> OracleResult:
     """Minimum loss over all candidate configurations, by full enumeration.
 
@@ -49,54 +71,55 @@ def oracle_solve(problem: Problem, cap: int = GRID_CAP) -> OracleResult:
         raise ValidationError(f"cap must be at least 1, got {cap}")
     grid = extract_candidates(problem)
     E = problem.num_classifiers
-    values = [grid[j] for j in range(E)]
+    lengths = grid.lengths.tolist()
     total = 1
-    for v in values:
-        total *= len(v)
+    for m in lengths:
+        total *= m
         if total > cap:
             raise TooLarge(f"candidate grid exceeds {cap} configurations")
 
-    # Per candidate: bitmask of samples scoring strictly above it.
-    pos_masks: list[list[int]] = []
-    neg_masks: list[list[int]] = []
-    for j in range(E):
-        pos = problem.positive_scores[j]
-        neg = problem.negative_scores[j]
-        pos_masks.append(
-            [sum(1 << p for p in range(len(pos)) if pos[p] > t) for t in values[j]]
-        )
-        neg_masks.append(
-            [sum(1 << n for n in range(len(neg)) if neg[n] > t) for t in values[j]]
-        )
-    full = (1 << problem.num_positives) - 1
-    lowest_union = 0
-    for j in range(E):
-        lowest_union |= pos_masks[j][-1]
-    assert lowest_union == full, "all-lowest configuration must cover every positive"
+    # One row of words per candidate: positives' words, then negatives'.
+    pos = _packed_masks(problem.positive_scores, grid.thresholds)
+    neg = _packed_masks(problem.negative_scores, grid.thresholds)
+    Wp = pos.shape[2]
+    masks = np.concatenate([pos, neg], axis=2)
+    P, N = problem.num_positives, problem.num_negatives
+    full = np.array([(1 << min(64, P - 64 * w)) - 1 for w in range(Wp)], dtype=np.uint64)
 
-    best_loss: int | None = None
+    # Suffix table over classifiers k0..E-1, last classifier fastest.
+    k0 = E - 1
+    cells = lengths[k0]
+    while k0 > 0 and cells * lengths[k0 - 1] * masks[0, 0].nbytes <= _BLOCK_BYTES:
+        k0 -= 1
+        cells *= lengths[k0]
+    table = masks[k0, : lengths[k0]]
+    for j in range(k0 + 1, E):
+        table = (table[:, None, :] | masks[j, None, : lengths[j]]).reshape(-1, table.shape[1])
+    suffix_values = [grid.thresholds[j, : lengths[j]] for j in range(k0, E)]
+
+    best_loss = N
     best_values: tuple[float, ...] | None = None
     enumerated = 0
-    chosen = [0] * E
-
-    def descend(j: int, pos_acc: int, neg_acc: int) -> None:
-        nonlocal best_loss, best_values, enumerated
-        if j == E:
-            enumerated += 1
-            if pos_acc != full:
-                return
-            loss = neg_acc.bit_count()
-            if best_loss is None or loss <= best_loss:
-                vals = tuple(values[i][chosen[i]] for i in range(E))
-                if best_loss is None or loss < best_loss or vals < best_values:
-                    best_loss = loss
-                    best_values = vals
-            return
-        for a in range(len(values[j])):
-            chosen[j] = a
-            descend(j + 1, pos_acc | pos_masks[j][a], neg_acc | neg_masks[j][a])
-
-    descend(0, 0, 0)
-    assert best_loss is not None and best_values is not None
+    block = np.empty_like(table)
+    for prefix in itertools.product(*(range(m) for m in lengths[:k0])):
+        chosen = masks[np.arange(k0), np.array(prefix, dtype=np.intp)]
+        np.bitwise_or(table, np.bitwise_or.reduce(chosen, axis=0), out=block)
+        enumerated += len(block)
+        loss = np.bitwise_count(block[:, Wp:]).sum(axis=1, dtype=np.int64)
+        loss[(block[:, :Wp] != full).any(axis=1)] = N + 1  # infeasible
+        low = int(loss.min())
+        if low > best_loss:
+            continue
+        # Lexicographically smallest threshold values among this block's ties.
+        ties = np.flatnonzero(loss == low)
+        positions = np.unravel_index(ties, lengths[k0:])
+        tied_values = [v[p] for v, p in zip(suffix_values, positions)]
+        first = np.lexsort(tied_values[::-1])[0]
+        values = grid.config([*prefix, *(p[first] for p in positions)])
+        if best_values is None or low < best_loss or values < best_values:
+            best_loss, best_values = low, values
+    # The last cell enumerated is the all-lowest configuration.
+    assert loss[-1] <= N, "all-lowest configuration must cover every positive"
+    assert best_values is not None
     assert enumerated == total
     return OracleResult(config=best_values, loss=best_loss, enumerated=enumerated)

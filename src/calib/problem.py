@@ -123,7 +123,7 @@ class Problem:
         return self.negative_scores.shape[1]
 
 
-@dataclass
+@dataclass(slots=True)
 class SearchStats:
     """Instrumentation counters for one search run.
 

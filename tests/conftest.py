@@ -55,6 +55,24 @@ def small_problem(seed: int) -> Problem:
     return train
 
 
+def tie_heavy_problem(seed: int) -> Problem:
+    """Small problem with integer scores in 0..4, so sibling increments tie.
+
+    Odd seeds copy classifier 0 into rows 1 and 2: those siblings cover equal
+    sets, while other tied siblings cover distinct ones.
+    """
+    rng = random.Random(seed)
+    E, P, N = rng.randint(3, 6), rng.randint(2, 6), rng.randint(4, 12)
+
+    def scores(n):
+        return [[float(rng.randint(0, 4)) for _ in range(n)] for _ in range(E)]
+
+    pos, neg = np.array(scores(P)), np.array(scores(N))
+    if seed % 2:
+        pos[1:3], neg[1:3] = pos[0], neg[0]
+    return Problem(positive_scores=pos, negative_scores=neg)
+
+
 def dense_sweep_optimum(problem: Problem) -> int:
     """Brute-force optimum over every distinct threshold behaviour.
 

@@ -259,6 +259,14 @@ def test_solution_round_trip(tmp_path):
     assert back.optimal and not back.fallback
     assert back.stats.nodes_visited == 3
     assert back.stats.incumbent_history == [(0.05, 4), (0.08, 2)]
+    again = tmp_path / "again.json"
+    save_solution(back, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_search_stats_has_no_instance_dict():
+    # A benchmark run keeps one record per solve, so each carries no __dict__.
+    assert not hasattr(SearchStats(), "__dict__")
 
 
 @settings(max_examples=60)

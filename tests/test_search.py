@@ -1,7 +1,5 @@
 """Branch-and-bound search: exact optimality, ablations, budgets, redundancy."""
 
-import random
-
 import numpy as np
 import pytest
 
@@ -23,7 +21,7 @@ from calib import (
 )
 from calib import search
 
-from conftest import small_problem
+from conftest import small_problem, tie_heavy_problem
 
 
 def test_exact_toy_frozen(toy):
@@ -218,24 +216,6 @@ def test_traversal_counts_pinned():
                       st.nodes_pruned_equivalence, st.positives_removed_by_root]
             totals[name] = [a + b for a, b in zip(totals[name], counts)]
     assert totals == TRAVERSAL_TOTALS
-
-
-def tie_heavy_problem(seed: int) -> Problem:
-    """Small problem with integer scores in 0..4, so sibling increments tie.
-
-    Odd seeds copy classifier 0 into rows 1 and 2: those siblings cover equal
-    sets, while other tied siblings cover distinct ones.
-    """
-    rng = random.Random(seed)
-    E, P, N = rng.randint(3, 6), rng.randint(2, 6), rng.randint(4, 12)
-
-    def scores(n):
-        return [[float(rng.randint(0, 4)) for _ in range(n)] for _ in range(E)]
-
-    pos, neg = np.array(scores(P)), np.array(scores(N))
-    if seed % 2:
-        pos[1:3], neg[1:3] = pos[0], neg[0]
-    return Problem(positive_scores=pos, negative_scores=neg)
 
 
 # Golden totals over tie_heavy_problem(0..199) of [nodes_visited,
