@@ -8,7 +8,7 @@ calibration only changes how classifiers compare against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -75,6 +75,12 @@ class IsotonicParams:
     arrays, converted once here, and maps compare equal by content.  Raises
     ValidationError unless there are as many values as breakpoints, at
     least one of each, and the breakpoints strictly ascend.
+
+    A call searches only the breakpoints where a run of bit-identical
+    values starts (tens of entries for a fit on thousands of scores); the
+    breakpoint found there carries the same value as the one the full
+    search would find.  That run table is derived, not a field, so model
+    files hold only breakpoints and values.
     """
 
     kind = "isotonic"
@@ -93,6 +99,9 @@ class IsotonicParams:
         bp.flags.writeable = vals.flags.writeable = False
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
+        starts = _run_starts(vals.view(np.int64))
+        object.__setattr__(self, "_run_breakpoints", bp[starts])
+        object.__setattr__(self, "_run_values", vals[starts])
 
     def __eq__(self, other):
         if type(other) is not IsotonicParams:
@@ -101,8 +110,8 @@ class IsotonicParams:
                 and np.array_equal(self.values, other.values))
 
     def __call__(self, scores: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.breakpoints, scores, side="right") - 1
-        return self.values[np.maximum(idx, 0)]
+        idx = np.searchsorted(self._run_breakpoints, scores, side="right") - 1
+        return self._run_values[np.maximum(idx, 0)]
 
 
 @dataclass(frozen=True)
@@ -187,24 +196,60 @@ def smoothed_targets(num_positives: int, num_negatives: int) -> tuple[float, flo
 
 def sigmoid_nll(scores: np.ndarray, targets: np.ndarray, a: float, b: float) -> float:
     """Negative log-likelihood of targets under p = 1/(1 + exp(a*s + b))."""
-    z = a * scores + b
-    # -[t ln p + (1-t) ln(1-p)] = softplus(z) - (1-t) z, stable for large |z|.
-    return float(np.sum(np.logaddexp(0.0, z) - (1.0 - targets) * z))
+    return _sigmoid_nll_into(scores, 1.0 - targets, a, b,
+                             np.empty(np.shape(scores)), np.empty(np.shape(scores)))
+
+
+def _sigmoid_nll_into(scores, complement, a, b, z, work) -> float:
+    """sigmoid_nll given complement = 1 - targets, computed in the scratch
+    arrays z and work.
+
+    -[t ln p + (1-t) ln(1-p)] = softplus(z) - (1-t) z, with softplus(z) =
+    max(z, 0) + log1p(exp(-|z|)): stable for large |z|, and made of SIMD
+    loops where np.logaddexp calls scalar exp and log1p per element.
+    """
+    np.multiply(scores, a, out=z)
+    np.add(z, b, out=z)
+    np.maximum(z, 0.0, out=work)
+    np.abs(z, out=z)
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    np.log1p(z, out=z)
+    np.add(work, z, out=work)
+    # z is rebuilt here rather than held in a third array.
+    np.multiply(scores, a, out=z)
+    np.add(z, b, out=z)
+    np.multiply(complement, z, out=z)
+    np.subtract(work, z, out=work)
+    return float(work.sum())
 
 
 def _fit_sigmoid(scores: np.ndarray, targets: np.ndarray) -> tuple[float, float]:
-    """Minimize sigmoid_nll over (a, b); convex, so damped Newton suffices."""
+    """Minimize sigmoid_nll over (a, b); convex, so damped Newton suffices.
+
+    Every array is built in one of two scratch arrays, each operation as
+    in the plain expressions (p = 1/(1 + exp(clip(a*s + b))), residual =
+    t - p, w = p (1 - p)), so the fit is the same bit for bit.
+    """
+    complement = 1.0 - targets
+    squares = scores * scores
+    p, work = np.empty(len(scores)), np.empty(len(scores))
     a, b = 0.0, 0.0
-    f = sigmoid_nll(scores, targets, a, b)
+    f = _sigmoid_nll_into(scores, complement, a, b, p, work)
     for _ in range(NEWTON_MAX_ITER):
-        z = a * scores + b
-        p = 1.0 / (1.0 + np.exp(np.clip(z, -500, 500)))
-        residual = targets - p
+        np.multiply(scores, a, out=p)
+        np.add(p, b, out=p)
+        np.clip(p, -500, 500, out=p)
+        np.exp(p, out=p)
+        np.add(p, 1.0, out=p)
+        np.divide(1.0, p, out=p)
+        residual = np.subtract(targets, p, out=work)
         grad = np.array([np.dot(residual, scores), residual.sum()])
         if np.abs(grad).max() < NEWTON_GRAD_TOL:
             break
-        w = p * (1.0 - p)
-        h_aa = np.dot(w, scores * scores)
+        w = np.subtract(1.0, p, out=work)
+        np.multiply(p, w, out=w)
+        h_aa = np.dot(w, squares)
         h_ab = np.dot(w, scores)
         h_bb = w.sum()
         hess = np.array([[h_aa, h_ab], [h_ab, h_bb]])
@@ -219,7 +264,7 @@ def _fit_sigmoid(scores: np.ndarray, targets: np.ndarray) -> tuple[float, float]
             if ta == a and tb == b:
                 # Every shorter step rounds to this same point, where fa == f.
                 return a, b
-            fa = sigmoid_nll(scores, targets, ta, tb)
+            fa = _sigmoid_nll_into(scores, complement, ta, tb, p, work)
             if fa < f:
                 a, b, f = ta, tb, fa
                 break
@@ -287,6 +332,11 @@ def fit_joint_sigmoid(problem: Problem, solution: Solution) -> CalibrationModel:
 # ---------------------------------------------------------------------------
 
 
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Index of the first element of each run of equal adjacent values."""
+    return np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+
+
 def pava(values: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
     """Weighted least-squares non-decreasing fit, one value per input point.
 
@@ -298,7 +348,7 @@ def pava(values: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
         return np.empty(0)
     if weights is None:
         weights = np.ones(len(values))
-    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    starts = _run_starts(values)
     run_lengths = np.diff(np.append(starts, len(values)))
     means: list[float] = []  # per block: weighted mean, weight sum, run count
     sums: list[float] = []
@@ -324,8 +374,10 @@ def fit_isotonic(problem: Problem) -> CalibrationModel:
     for pos, neg in zip(problem.positive_scores, problem.negative_scores):
         scores = np.concatenate([pos, neg])
         order = np.argsort(scores, kind="stable")
-        xs, start = np.unique(scores[order], return_index=True)
+        ranked = scores[order]
         # Pool exact score ties before PAVA: one weighted point per distinct x.
+        start = _run_starts(ranked)
+        xs = ranked[start]
         sums = np.add.reduceat(labels[order], start)
         counts = np.diff(np.append(start, len(scores)))
         fitted = pava(sums / counts, counts.astype(np.float64))
@@ -430,8 +482,12 @@ def save_model(model: CalibrationModel, path) -> None:
         "version": MODEL_FORMAT_VERSION,
         "method": model.method,
         "num_classifiers": model.num_classifiers,
-        # vars, not asdict: asdict deep-copies every isotonic breakpoint.
-        "classifiers": [{"kind": m.kind, **vars(m)} for m in model.maps],
+        # Fields read one by one: asdict deep-copies every isotonic
+        # breakpoint, and vars would also write an isotonic run table.
+        "classifiers": [
+            {"kind": m.kind, **{f.name: getattr(m, f.name) for f in fields(m)}}
+            for m in model.maps
+        ],
         "degenerate": model.degenerate,
     }
     _write_json(doc, path)

@@ -26,7 +26,7 @@ from .evaluation import (
     _pr_curve,
     fit_method,
 )
-from .oracle import oracle_solve
+from .oracle import GRID_CAP, oracle_solve
 from .problem import (
     _json_value,
     _read_json,
@@ -129,7 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     oracle = sub.add_parser("oracle", help="brute-force the candidate grid")
     oracle.add_argument("problem")
-    oracle.add_argument("--cap", type=int, default=10_000_000)
+    oracle.add_argument("--cap", type=int, default=GRID_CAP)
     oracle.add_argument("--out", help="also write a solution file")
 
     calibrate = sub.add_parser("calibrate", help="fit a calibration model")

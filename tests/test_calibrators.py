@@ -236,6 +236,42 @@ def test_fit_sigmoid_matches_full_line_search():
     assert "no-descent" in joint_exits
 
 
+def logaddexp_nll(scores, targets, a, b):
+    """sigmoid_nll as first written, with np.logaddexp for the softplus."""
+    z = a * scores + b
+    return float(np.sum(np.logaddexp(0.0, z) - (1.0 - targets) * z))
+
+
+def test_sigmoid_nll_matches_logaddexp_form():
+    rng = np.random.default_rng(13)
+    z = np.concatenate([rng.uniform(-800.0, 800.0, 50_000),
+                        rng.normal(0.0, 4.0, 49_999), [0.0]])
+    # With target 1 the complement is 0, so each call is softplus(z) alone.
+    one = np.ones(1)
+    fused = np.array([sigmoid_nll(z[i:i + 1], one, 1.0, 0.0) for i in range(len(z))])
+    assert np.allclose(fused, np.logaddexp(0.0, z), rtol=1e-13, atol=0.0)
+    targets = rng.uniform(0.0, 1.0, len(z))
+    for a, b in [(1.0, 0.0), (-2.5, 0.3), (0.01, -3.0)]:
+        assert sigmoid_nll(z, targets, a, b) == pytest.approx(
+            logaddexp_nll(z, targets, a, b), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("targets, a, b", [
+    ([0.9, 0.1], 10.0, 0.0),      # a * s overflows to +inf
+    ([0.9, 0.1], -10.0, 0.0),     # ... to -inf
+    ([1.0, 0.1], 10.0, 0.0),      # +inf times a zero complement
+    ([0.9, 0.1], 10.0, -np.inf),  # inf - inf
+])
+def test_sigmoid_nll_overflow_matches_logaddexp_form(targets, a, b):
+    scores = np.array([1e308, 0.5])
+    targets = np.array(targets)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fused = sigmoid_nll(scores, targets, a, b)
+        reference = logaddexp_nll(scores, targets, a, b)
+    assert not np.isfinite(reference)
+    assert fused == reference or (np.isnan(fused) and np.isnan(reference))
+
+
 def test_smoothed_targets():
     t_pos, t_neg = smoothed_targets(3, 5)
     assert t_pos == pytest.approx(4.0 / 5.0)
@@ -439,6 +475,56 @@ def test_isotonic_map_holds_read_only_arrays(tmp_path):
     assert doc["classifiers"] == [
         {"kind": "isotonic", "breakpoints": [0.0, 1.0], "values": [0.25, 0.75]}
     ]
+
+
+def full_lookup(params, scores):
+    """The step-function lookup over every breakpoint."""
+    idx = np.searchsorted(params.breakpoints, scores, side="right") - 1
+    return params.values[np.maximum(idx, 0)]
+
+
+def lookup_queries(breakpoints):
+    """Every breakpoint, the points between and just beside them, and
+    queries beyond both ends."""
+    bp = np.asarray(breakpoints)
+    return np.concatenate([
+        bp, (bp[1:] + bp[:-1]) / 2.0,
+        np.nextafter(bp, -np.inf), np.nextafter(bp, np.inf),
+        [bp[0] - 1.0, bp[-1] + 1.0, -np.inf, np.inf, np.nan],
+    ])
+
+
+def isotonic_lookup_maps():
+    # Tie-heavy fits: rounded scores, as in test_fit_isotonic_matches_unpooled_fit.
+    for decimals in (1, 2, 12):
+        rng = np.random.default_rng(decimals)
+        prob = Problem(np.round(rng.normal(0.8, 1, (5, 60)), decimals),
+                       np.round(rng.normal(0, 1, (5, 700)), decimals))
+        yield from fit_isotonic(prob).maps
+    yield IsotonicParams([0.5], [0.3])                       # one breakpoint
+    yield IsotonicParams([-1.0, 0.0, 2.0, 3.5], [0.4] * 4)    # all values equal
+    # Values equal as numbers but not as bits stay apart.
+    yield IsotonicParams([0.0, 1.0, 2.0, 3.0], [-0.0, 0.0, 0.0, 1.0])
+    # A map read from a file need not be monotone.
+    rng = np.random.default_rng(3)
+    yield IsotonicParams(np.arange(200.0), rng.integers(0, 3, 200) / 2.0)
+
+
+def test_isotonic_lookup_matches_full_breakpoint_search():
+    for params in isotonic_lookup_maps():
+        queries = lookup_queries(params.breakpoints)
+        assert params(queries).tobytes() == full_lookup(params, queries).tobytes()
+
+
+def test_saved_isotonic_model_holds_only_its_fields(tmp_path, toy):
+    model = fit_isotonic(toy)
+    save_model(model, tmp_path / "before.json")
+    calibrated_matrix(model, toy.negative_scores)
+    save_model(model, tmp_path / "after.json")
+    after = (tmp_path / "after.json").read_bytes()
+    assert after == (tmp_path / "before.json").read_bytes()
+    for doc in json.loads(after)["classifiers"]:
+        assert sorted(doc) == ["breakpoints", "kind", "values"]
 
 
 @pytest.mark.parametrize("breakpoints, values", [

@@ -19,6 +19,8 @@ from calib import (
     load_solution,
     save_problem,
 )
+from calib import cli
+from calib.oracle import GRID_CAP
 
 from conftest import small_problem
 
@@ -184,6 +186,11 @@ def test_oracle_cap_exits_4():
     res = run("oracle", str(GOLDEN), "--cap", "5")
     assert res.returncode == 4
     assert "calib oracle" in res.stderr
+
+
+def test_oracle_cap_defaults_to_grid_cap():
+    args = cli._build_parser().parse_args(["oracle", str(GOLDEN)])
+    assert args.cap == GRID_CAP
 
 
 @pytest.mark.parametrize("cap", ["0", "-5"])

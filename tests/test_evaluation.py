@@ -174,6 +174,31 @@ def test_compare_methods_report_is_pinned():
             assert row.ap == ap, row.method
 
 
+def test_compare_methods_report_is_pinned_at_e30():
+    # Values from the implementation whose softplus was np.logaddexp and
+    # whose isotonic lookup searched every breakpoint.  Seven of this
+    # instance's joint-sigmoid fits end at the line search's early return,
+    # where the fit stops on how its loss values compare.
+    spec = GenerateSpec(seed=5, num_classifiers=30, num_positives=60, num_negatives=1500,
+                        dimensions=10, noise=0.15, spread=0.25,
+                        hardness_fraction=0.2, hardness_scale=0.65)
+    train, test = generate(spec)
+    methods = ["joint-thresholds", "joint-sigmoid", "independent-sigmoid",
+               "isotonic", "affine"]
+    report = compare_methods(train, test, methods, solve_exact(train))
+    assert report.reference_recall == 0.7333333333333333
+    expected = {
+        "joint-thresholds": (0.7333333333333333, 417, 0.0, 0.3304238793987605),
+        "joint-sigmoid": (0.7333333333333333, 271, 0.04314743623823082, 0.48094024225982),
+        "independent-sigmoid": (0.7333333333333333, 644, 0.0689814823016589,
+                                0.2863793888069071),
+        "isotonic": (0.7333333333333333, 267, 0.10810810810810811, 0.34182174350186284),
+        "affine": (0.7333333333333333, 141, 2.471075130785238, 0.5841207166872684),
+    }
+    for row in report.rows:
+        assert (row.recall, row.fp, row.tau, row.ap) == expected[row.method], row.method
+
+
 def test_compare_methods_dimension_guard():
     train, test = comparison_instance()
     other = Problem(np.zeros((2, 3)) + 1.0, np.zeros((2, 4)))
