@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .errors import (
     DimensionMismatch,
@@ -201,31 +202,64 @@ def derive_assignment(problem: Problem, config) -> list[int]:
 # ---------------------------------------------------------------------------
 # Serialization.  Problems, solutions and models are stored as JSON with
 # floats in shortest round-trip decimal form (Python's repr), so
-# load(save(x)) reproduces float64 values bit-exactly.
+# load(save(x)) reproduces float64 values bit-exactly.  Files are read as
+# RFC 8259 JSON in UTF-8 (no NaN or Infinity) and written as
+# json.dumps(doc, indent=1) + "\n"; orjson does the float work both ways.
 # ---------------------------------------------------------------------------
 
 
 def _read_json(path) -> dict:
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as e:
         raise IoError(f"cannot read {path}: {e}") from e
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
+        doc = orjson.loads(data)
+    except orjson.JSONDecodeError as e:
         raise ParseError(f"{path} is not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a JSON object at top level")
     return doc
 
 
+def _finite_floats(o) -> np.ndarray | None:
+    """o as a float64 array if it is a non-empty row of finite floats: a
+    1-d float64 array, or a list or tuple of floats; else None."""
+    if isinstance(o, np.ndarray):
+        row = np.ascontiguousarray(o) if o.ndim == 1 and o.dtype == np.float64 else None
+    elif isinstance(o, (list, tuple)) and {float}.issuperset(map(type, o)):
+        row = np.array(o, dtype=np.float64)
+    else:
+        row = None
+    return row if row is not None and row.size and np.isfinite(row).all() else None
+
+
+def _float_row(row: np.ndarray, level: int) -> str:
+    """json.dumps text of a row of finite floats nested ``level`` deep: one
+    orjson call, then float.__repr__ for the magnitudes the two spell
+    differently (orjson writes 0.00001234, 1e-6 and 1e16)."""
+    indent = "\n" + " " * (level + 1)
+    text = orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1]
+    magnitude = np.abs(row)
+    respell = np.flatnonzero(((magnitude < 1e-4) & (row != 0)) | (magnitude >= 1e16))
+    if respell.size:
+        items = text.split(",")
+        for i in respell.tolist():
+            items[i] = repr(row[i].item())
+        text = ",".join(items)
+    return "[" + indent + text.replace(",", "," + indent) + "\n" + " " * level + "]"
+
+
 def _encode(o, level: int):
     """Pieces of json.dumps(o, indent=1) for o nested ``level`` deep; a
     numpy array is written as its (nested) list of values.  Scalars and
     empty containers are json.dumps's own text."""
-    if isinstance(o, np.ndarray):
-        o = o.tolist() if o.ndim < 2 else list(o)
-    if isinstance(o, (list, tuple)) and o:
+    row = _finite_floats(o)
+    if row is not None:
+        yield _float_row(row, level)
+    elif isinstance(o, np.ndarray):
+        yield from _encode(o.tolist() if o.ndim < 2 else list(o), level)
+    elif isinstance(o, (list, tuple)) and o:
         yield from _encode_list(o, level)
     elif isinstance(o, dict) and o:
         yield from _encode_dict(o, level)
@@ -236,15 +270,6 @@ def _encode(o, level: int):
 def _encode_list(items, level: int):
     indent = "\n" + " " * (level + 1)
     close = "\n" + " " * level + "]"
-    try:
-        # A row of floats in one C-level join.  Only a non-finite float's
-        # repr ("inf", "nan") holds an "n"; such a row takes the item loop.
-        text = ("," + indent).join(map(float.__repr__, items))
-    except TypeError:  # not all floats
-        text = None
-    if text is not None and "n" not in text:
-        yield "[" + indent + text + close
-        return
     yield "["
     for i, item in enumerate(items):
         yield "," + indent if i else indent
@@ -302,13 +327,19 @@ def _json_value(value, kind: type, where: str):
     return kind(value)
 
 
-def _json_list(values, kind: type, where: str) -> list:
-    """A JSON array of kind values as a list; ParseError names a bad entry."""
+def _check_json_list(values, kind: type, where: str) -> None:
+    """ParseError unless values is a JSON array of kind values; it names a
+    bad entry."""
     if not isinstance(values, list):
         raise ParseError(f"{where} is not an array")
     if not _JSON_KINDS[kind][0].issuperset(map(type, values)):
         for i, v in enumerate(values):
             _json_value(v, kind, f"{where}[{i}]")
+
+
+def _json_list(values, kind: type, where: str) -> list:
+    """A JSON array of kind values as a list; ParseError names a bad entry."""
+    _check_json_list(values, kind, where)
     return list(map(kind, values))
 
 
@@ -321,16 +352,15 @@ def _matrix_from_doc(doc: dict, key: str, num_rows: int) -> np.ndarray:
             f"{key} has {len(rows)} rows, num_classifiers is {num_rows}"
         )
     width = None
-    out = []
     for r, row in enumerate(rows):
-        out.append(_json_list(row, float, f"{key}[{r}]"))
+        _check_json_list(row, float, f"{key}[{r}]")
         if width is None:
             width = len(row)
         elif len(row) != width:
             raise ValidationError(
                 f"{key} is ragged: row {r} has {len(row)} columns, row 0 has {width}"
             )
-    return np.array(out, dtype=np.float64).reshape(num_rows, width or 0)
+    return np.array(rows, dtype=np.float64)
 
 
 def _ids_from_doc(doc: dict, key: str) -> tuple | None:

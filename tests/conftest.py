@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -102,3 +103,23 @@ def toy():
 @pytest.fixture
 def toy_free():
     return toy_free_cover()
+
+
+def problem_text(count="1", score="0.5", extra="") -> str:
+    """A one-classifier problem file (P=1, N=1) with raw JSON text spliced in."""
+    return ('{"version": 1, "num_classifiers": %s, "positive_scores": [[%s]], '
+            '"negative_scores": [[0.1]]%s}' % (count, score, extra))
+
+
+# Problem files outside RFC 8259 JSON in UTF-8, by case: the file's text
+# and what its ParseError says.
+NOT_RFC_8259 = {
+    "nan": (problem_text(score="NaN"), "not valid JSON"),
+    "infinity": (problem_text(score="-Infinity"), "not valid JSON"),
+    "overflow": (problem_text(score="1e400"), "infinity"),
+    # Past 64 bits an integer literal reads as a float.
+    "30-digit-count": (problem_text(count="1" * 30),
+                       re.escape(f"num_classifiers must be an integer, got {float('1' * 30)!r}")),
+    "bom": ("\ufeff" + problem_text(), "byte order mark"),
+    "lone-surrogate": (problem_text(extra=', "positive_ids": ["\\ud800"]'), "surrogate"),
+}

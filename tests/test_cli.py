@@ -22,7 +22,7 @@ from calib import (
 from calib import cli
 from calib.oracle import GRID_CAP
 
-from conftest import small_problem
+from conftest import NOT_RFC_8259, small_problem
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -208,6 +208,38 @@ def test_missing_file_exits_2(tmp_path):
     bad.write_text("{not json")
     res = run("solve", str(bad), "--out", str(tmp_path / "s.json"))
     assert res.returncode == 2
+
+
+def not_utf8_argv(tmp_path, verb):
+    """argv for verb reading a file that is not valid UTF-8."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"version": 1, "x": "\xff"}')
+    return {
+        "solve": ["solve", str(bad), "--out", str(tmp_path / "s.json")],
+        "calibrate": ["calibrate", str(GOLDEN), "--method", "joint-thresholds",
+                      "--solution", str(bad), "--out", str(tmp_path / "m.json")],
+        "evaluate": ["evaluate", str(bad), str(GOLDEN), "--metric", "ap"],
+        "bench": ["bench", str(bad), "--out-dir", str(tmp_path)],
+    }[verb]
+
+
+@pytest.mark.parametrize("verb", ["solve", "calibrate", "evaluate", "bench"])
+def test_file_not_utf8_exits_2(tmp_path, verb):
+    res = run(*not_utf8_argv(tmp_path, verb))
+    assert res.returncode == 2
+    assert f"calib {verb}: ParseError:" in res.stderr and "not valid UTF-8" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("case", NOT_RFC_8259)
+def test_solve_file_outside_json_dialect_exits_2(tmp_path, case):
+    bad = tmp_path / "bad.json"
+    bad.write_text(NOT_RFC_8259[case][0], encoding="utf-8")
+    res = run("solve", str(bad), "--out", str(tmp_path / "s.json"))
+    assert res.returncode == 2
+    [line] = res.stderr.splitlines()
+    assert line.startswith("calib solve: ParseError: ")
+    assert not (tmp_path / "s.json").exists()
 
 
 AFFINE = {"kind": "affine", "a": 1.0, "b": 0.0}

@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -18,20 +19,24 @@ from calib import (
     ShiftParams,
     Solution,
     GenerateSpec,
+    ParseError,
     ValidationError,
     check_feasible,
     compute_loss,
     derive_assignment,
     ensemble_scores,
     generate,
+    load_model,
     load_problem,
     load_solution,
+    save_model,
     save_problem,
     save_solution,
 )
 
+from calib.calibrators import MAP_KINDS, METHODS
 from calib.problem import _write_json
-from conftest import toy_two_by_two
+from conftest import NOT_RFC_8259, problem_text, toy_two_by_two
 
 
 def test_shape_validation():
@@ -195,6 +200,101 @@ def test_writer_removes_partial_file(tmp_path):
     with pytest.raises(TypeError, match="keys must be"):
         _write_json({"a": 1.0, (1, 2): 2}, path)
     assert not path.exists()
+
+
+def spelling_sweep() -> np.ndarray:
+    """Every float spelling the writer has to match json.dumps on: a power of
+    two and a value with a long mantissa at every binary exponent,
+    subnormals through DBL_MAX, both signs; the signed zeros; and the
+    nextafter neighbours of the magnitudes where orjson and float.__repr__
+    part ways."""
+    exponents = np.arange(-1074, 1024)
+    magnitudes = [np.ldexp(1.0, exponents), np.ldexp(1.2345678901234567, exponents),
+                  [np.finfo(np.float64).max]]
+    for edge in (1e-5, 1e-4, 1e15, 1e16):
+        magnitudes.append([np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)])
+    positive = np.concatenate(magnitudes)
+    assert np.isfinite(positive).all() and (positive > 0).all()
+    return np.concatenate([positive, -positive, [0.0, -0.0]])
+
+
+def float_bits(values) -> list[int]:
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+def test_writer_spells_every_float_as_json_dumps(tmp_path):
+    row = spelling_sweep()
+    doc = {"numpy": row, "list": row.tolist(), "tuple": tuple(row.tolist()),
+           "matrix": np.stack([row, row[::-1]]), "nested": [row.tolist(), row[::-1]]}
+    expected = {"numpy": row.tolist(), "list": row.tolist(), "tuple": row.tolist(),
+                "matrix": [row.tolist(), row[::-1].tolist()],
+                "nested": [row.tolist(), row[::-1].tolist()]}
+    path = tmp_path / "doc.json"
+    _write_json(doc, path)
+    assert path.read_bytes() == (json.dumps(expected, indent=1) + "\n").encode()
+
+
+def test_problem_round_trip_is_bit_identical(tmp_path):
+    row = spelling_sweep()
+    p = Problem(positive_scores=np.stack([row, row[::-1]]),
+                negative_scores=np.stack([row[::-1], row]))
+    path = tmp_path / "p.json"
+    save_problem(p, path)
+    q = load_problem(path)
+    assert float_bits(q.positive_scores) == float_bits(p.positive_scores)
+    assert float_bits(q.negative_scores) == float_bits(p.negative_scores)
+
+
+def test_solution_round_trip_is_bit_identical(tmp_path):
+    row = spelling_sweep().tolist()
+    sol = Solution(config=tuple(row), loss=1, assignment=[0], optimal=False,
+                   stats=SearchStats(wall_time_ms=row[3],
+                                     incumbent_history=[(t, 2) for t in row]))
+    path = tmp_path / "s.json"
+    save_solution(sol, path)
+    back = load_solution(path)
+    assert float_bits(back.config) == float_bits(row)
+    assert float_bits(back.stats.wall_time_ms) == float_bits(row[3])
+    assert float_bits([t for t, _ in back.stats.incumbent_history]) == float_bits(row)
+
+
+@pytest.mark.parametrize("kind", MAP_KINDS)
+def test_model_round_trip_is_bit_identical(tmp_path, kind):
+    cls = MAP_KINDS[kind]
+    method = next(m for m, kinds in METHODS.items() if cls in kinds)
+    row = spelling_sweep()
+    if kind == "isotonic":
+        breakpoints = np.unique(row)
+        maps = (cls(breakpoints=breakpoints, values=row[:breakpoints.size]),)
+    else:
+        width = len(fields(cls))
+        maps = tuple(cls(*row[i:i + width].tolist()) for i in range(row.size - width + 1))
+    path = tmp_path / "m.json"
+    save_model(CalibrationModel(method, maps), path)
+    back = load_model(path)
+    assert back.method == method and len(back.maps) == len(maps)
+    for m, b in zip(maps, back.maps):
+        assert type(b) is cls
+        assert [float_bits(getattr(b, f.name)) for f in fields(m)] == \
+            [float_bits(getattr(m, f.name)) for f in fields(m)]
+
+
+@pytest.mark.parametrize("case", NOT_RFC_8259)
+def test_reader_accepts_only_rfc_8259_json(tmp_path, case):
+    text, named = NOT_RFC_8259[case]
+    path = tmp_path / "p.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError, match=named):
+        load_problem(path)
+
+
+def test_reader_rejects_invalid_utf8(tmp_path):
+    path = tmp_path / "p.json"
+    path.write_bytes(problem_text(extra=', "metadata": {"k": "\xff"}').encode("latin-1"))
+    with pytest.raises(ParseError, match="not valid UTF-8"):
+        load_problem(path)
+    path.write_text(problem_text(extra=', "metadata": {"k": "\xff"}'), encoding="utf-8")
+    assert load_problem(path).metadata == {"k": "\xff"}
 
 
 MID_SPEC = GenerateSpec(seed=5, num_classifiers=40, num_positives=50, num_negatives=4000)
