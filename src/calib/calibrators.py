@@ -35,11 +35,14 @@ AFFINE_SAMPLE_COUNT = 200_000
 
 
 class _FloatFields:
-    """Coerces every field to float, so a map read from a file is checked."""
+    """Coerces every field to a finite float, so a map read from a file is checked."""
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            object.__setattr__(self, name, float(value))
+            value = float(value)
+            if not np.isfinite(value):
+                raise ValidationError(f"{self.kind} map field {name} is {value!r}")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -400,8 +403,8 @@ def fit_affine(
     calibrated = (s - mean_neg) / std_neg, with moments taken over up to
     sample_count negatives (drawn with replacement by the seeded counter
     generator when the problem has more).  Raises DegenerateVariance when
-    the sampled negatives are constant, and ValidationError when
-    sample_count is below 1.
+    the sampled negatives are constant or their mean or std is not finite,
+    and ValidationError when sample_count is below 1.
     """
     if sample_count < 1:
         raise ValidationError(f"sample_count must be at least 1, got {sample_count}")
@@ -414,8 +417,10 @@ def fit_affine(
             neg = neg[rng.integers(sample_count, n)]
         if len(neg) == 0:
             raise DegenerateVariance(f"classifier {j} has no negatives to fit on")
-        mu = float(neg.mean())
-        sigma = float(neg.std())
+        with np.errstate(over="ignore", invalid="ignore"):
+            mu, sigma = float(neg.mean()), float(neg.std())
+        if not (np.isfinite(mu) and np.isfinite(sigma)):
+            raise DegenerateVariance(f"classifier {j}: negative scores overflow their moments")
         if sigma == 0.0:
             raise DegenerateVariance(f"classifier {j} has constant negative scores")
         maps.append(AffineParams(a=1.0 / sigma, b=-mu / sigma))

@@ -4,9 +4,10 @@ A CoverState holds the false positives (negatives some classifier currently
 scores above its threshold) as a packed bitset ``fp``: one bit per negative,
 little-endian in ceil(N/64) uint64 words.  ``rows[j, t]`` packs the
 negatives scoring strictly above classifier j's candidate t, the rule
-``compute_loss`` uses, in E x (max candidates) x ceil(N/64) x 8 bytes.  An
-edge to candidate t newly covers ``rows[j, t] & ~fp``, so one vectorized
-call prices every child of a node, and equal sets are byte-equal.
+``compute_loss`` uses, in E x (max candidates) x ceil(N/64) x 8 bytes,
+packed by ``thresholds.packed_above`` as the oracle's masks are.  An edge
+to candidate t newly covers ``rows[j, t] & ~fp``, so one vectorized call
+prices every child of a node, and equal sets are byte-equal.
 ``cost[j, t]`` counts the negatives in ``rows[j, t]``.
 
 Positives need no bits: positive p is covered once some classifier j has
@@ -22,10 +23,7 @@ import numpy as np
 
 from .errors import EmptyJournal, MonotonicityViolation
 from .problem import Problem, compute_loss
-from .thresholds import CandidateGrid
-
-# Cap on the temporary boolean arrays that build one block of classifiers.
-_BLOCK_BYTES = 4 << 20
+from .thresholds import CandidateGrid, packed_above
 
 
 class CoverState:
@@ -41,33 +39,19 @@ class CoverState:
             raise ValueError("candidate grid does not match problem")
         self.problem = problem
         self.grid = grid
-        C = grid.thresholds
-        E, T = C.shape
-        N = problem.num_negatives
-        W = -(-N // 64)
-
-        # Padded -inf candidates are never reached: no position passes a
-        # classifier's last candidate.
-        neg, pos = problem.negative_scores, problem.positive_scores
-        self.cover_position = np.empty(pos.shape, dtype=np.intp)
-        self.rows = np.empty((E, T, W), dtype=np.uint64)
-        block = max(1, _BLOCK_BYTES // (T * (W * 64 + pos.shape[1])))
-        for lo in range(0, E, block):
-            hi = min(lo + block, E)
-            # Earliest candidate position strictly below each positive's score.
-            at_or_above = C[lo:hi, None, :] >= pos[lo:hi, :, None]
-            self.cover_position[lo:hi] = at_or_above.sum(-1)
-            bits = np.zeros((hi - lo, T, W * 64), dtype=bool)
-            np.greater(neg[lo:hi, None, :], C[lo:hi, :, None], out=bits[..., :N])
-            packed = np.packbits(bits, axis=-1, bitorder="little")
-            self.rows[lo:hi] = packed.view(np.uint64)
+        self.rows = packed_above(problem.negative_scores, grid.thresholds)
+        # Earliest candidate strictly below each positive's score: the count of
+        # candidates at or above it.  Negated rows ascend; +inf padding counts for none.
+        self.cover_position = np.array([
+            row.searchsorted(scores, side="right")
+            for row, scores in zip(-grid.thresholds, -problem.positive_scores)])
         self.cost = np.bitwise_count(self.rows).sum(-1, dtype=np.int64)
         reached = self.cover_position < grid.lengths[:, None]
         assert reached.all(), "positive with no candidate below it"
         assert not self.cost[:, 0].any(), "tightest candidate must cost nothing"
 
-        self.positions = np.zeros(E, dtype=np.intp)
-        self.fp = np.zeros(W, dtype=np.uint64)
+        self.positions = np.zeros(len(grid), dtype=np.intp)
+        self.fp = np.zeros(self.rows.shape[2], dtype=np.uint64)
         self.fp_count = 0
         # (classifier, old position, newly covered, their count)
         self.journal: list[tuple[int, int, np.ndarray, int]] = []

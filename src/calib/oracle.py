@@ -1,15 +1,15 @@
 """Exhaustive reference solver over the candidate threshold grid.
 
 Deliberately independent of the tree search: it shares only the candidate
-grid with it.  Each candidate's coverage is packed from the raw scores into
-little-endian uint64 words, one bit per positive and one per negative, and
-every grid cell is enumerated.  The cells of the last k classifiers form a
-suffix table of OR-combined words, k as large as fits ``_BLOCK_BYTES``; each
-prefix of the first E - k classifiers is ORed into the whole table at once,
-so a block of cells costs a few numpy calls rather than one Python call per
-cell.  That enumerates several million cells per second; the grid has
-prod(M_j) cells and grows fast, so this is meant for tests and small
-instances.
+grid and its packing kernel with it.  Each candidate's coverage is packed
+from the raw scores by ``thresholds.packed_above``, one bit per positive and
+one per negative, and every grid cell is enumerated.  The cells of the last
+k classifiers form a suffix table of OR-combined words, k as large as fits
+``_BLOCK_BYTES``; each prefix of the first E - k classifiers is ORed into
+the whole table at once, so a block of cells costs a few numpy calls rather
+than one Python call per cell.  That enumerates several million cells per
+second; the grid has prod(M_j) cells and grows fast, so this is meant for
+tests and small instances.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import TooLarge, ValidationError
 from .problem import Problem
-from .thresholds import extract_candidates
+from .thresholds import extract_candidates, packed_above
 
 GRID_CAP = 10_000_000
 
@@ -50,16 +50,6 @@ def oracle_node_count(num_classifiers: int, num_positives: int) -> int:
     return (E ** (P + 1) - 1) // (E - 1)
 
 
-def _packed_masks(scores: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """(E, T, W) words: bit i of [j, t] is set iff scores[j, i] > thresholds[j, t]."""
-    E, n = scores.shape
-    W = -(-n // 64)
-    bits = np.zeros((E, thresholds.shape[1], W * 64), dtype=bool)
-    np.greater(scores[:, None, :], thresholds[:, :, None], out=bits[..., :n])
-    packed = np.packbits(bits, axis=-1, bitorder="little")
-    return packed.view(np.uint64).reshape(E, thresholds.shape[1], W)
-
-
 def oracle_solve(problem: Problem, cap: int = GRID_CAP) -> OracleResult:
     """Minimum loss over all candidate configurations, by full enumeration.
 
@@ -79,11 +69,10 @@ def oracle_solve(problem: Problem, cap: int = GRID_CAP) -> OracleResult:
             raise TooLarge(f"candidate grid exceeds {cap} configurations")
 
     # One row of words per candidate: positives' words, then negatives'.
-    pos = _packed_masks(problem.positive_scores, grid.thresholds)
-    neg = _packed_masks(problem.negative_scores, grid.thresholds)
-    Wp = pos.shape[2]
-    masks = np.concatenate([pos, neg], axis=2)
+    masks = np.concatenate([packed_above(problem.positive_scores, grid.thresholds),
+                            packed_above(problem.negative_scores, grid.thresholds)], axis=2)
     P, N = problem.num_positives, problem.num_negatives
+    Wp = -(-P // 64)
     full = np.array([(1 << min(64, P - 64 * w)) - 1 for w in range(Wp)], dtype=np.uint64)
 
     # Suffix table over classifiers k0..E-1, last classifier fastest.

@@ -38,7 +38,8 @@ ROOT_COVERED = "root-covered"
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
+    """A read-only copy, so the caller's array stays writable and unshared."""
+    a = np.array(a, dtype=np.float64, order="C")
     a.flags.writeable = False
     return a
 

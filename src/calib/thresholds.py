@@ -32,6 +32,9 @@ import numpy as np
 from .errors import ValidationError
 from .problem import Problem
 
+# Cap on the boolean comparison that packs one block of classifiers.
+_BLOCK_BYTES = 4 << 20
+
 
 @dataclass(frozen=True, eq=False)
 class CandidateGrid:
@@ -48,9 +51,6 @@ class CandidateGrid:
 
     def __len__(self) -> int:
         return len(self.lengths)
-
-    def __getitem__(self, j: int) -> tuple[float, ...]:
-        return tuple(self.thresholds[j, : self.lengths[j]].tolist())
 
     def config(self, positions) -> tuple[float, ...]:
         """Threshold values at one candidate position per classifier."""
@@ -105,3 +105,22 @@ def extract_candidates(problem: Problem) -> CandidateGrid:
     thresholds.flags.writeable = False
     lengths.flags.writeable = False
     return CandidateGrid(thresholds=thresholds, lengths=lengths)
+
+
+def packed_above(scores: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """(E, T, ceil(n/64)) uint64 words: bit i of [j, t] is scores[j, i] > thresholds[j, t].
+
+    Little-endian, as the search and the oracle read them, with padding bits
+    clear; packs as many classifiers at once as fit ``_BLOCK_BYTES``.
+    """
+    E, n = scores.shape
+    T = thresholds.shape[1]
+    W = -(-n // 64)
+    words = np.empty((E, T, W), dtype=np.uint64)
+    block = max(1, _BLOCK_BYTES // max(1, T * W * 64))
+    for lo in range(0, E, block):
+        hi = min(lo + block, E)
+        bits = np.zeros((hi - lo, T, W * 64), dtype=bool)
+        np.greater(scores[lo:hi, None, :], thresholds[lo:hi, :, None], out=bits[..., :n])
+        words[lo:hi] = np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
+    return words

@@ -31,6 +31,11 @@ def toy_free_cover() -> Problem:
     )
 
 
+def candidates(grid, j: int) -> tuple[float, ...]:
+    """Classifier j's candidate thresholds, tightest first, without padding."""
+    return tuple(grid.thresholds[j, : grid.lengths[j]].tolist())
+
+
 def small_spec(seed: int) -> GenerateSpec:
     """Seeded small-instance recipe used by the fuzz and oracle suites.
 

@@ -387,6 +387,24 @@ def test_affine_degenerate_variance():
         fit_affine(prob)
 
 
+def test_affine_rejects_overflowing_moments():
+    big = float(np.finfo(np.float64).max)
+    prob = Problem(np.array([[1.0], [1e200]]), np.array([[0.0, 1.0, 2.0], [big, big, 0.0]]))
+    with pytest.raises(DegenerateVariance, match="classifier 1"):
+        fit_affine(prob)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: AffineParams(a=0.0, b=float("nan")),
+    lambda: SigmoidParams(a=-float("inf"), b=0.0),
+    lambda: ConstantParams(float("nan")),
+    lambda: ShiftParams(float("inf")),
+], ids=["affine-nan", "sigmoid-inf", "constant-nan", "shift-inf"])
+def test_maps_reject_non_finite_fields(make):
+    with pytest.raises(ValidationError, match="map field"):
+        make()
+
+
 def test_joint_thresholds_model_scores_margin(toy):
     sol = solve_exact(toy)
     model = fit_joint_thresholds(toy, sol)

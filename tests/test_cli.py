@@ -360,6 +360,18 @@ def test_calibrate_bad_argument_exits_2(tmp_path, method, option, value, name):
     assert not out.exists()
 
 
+def test_calibrate_affine_overflowing_moments_exits_2(tmp_path):
+    big = float(np.finfo(np.float64).max)
+    prob = tmp_path / "p.json"
+    save_problem(Problem(np.array([[1e200]]), np.array([[big, big, 0.0]])), prob)
+    out = tmp_path / "m.json"
+    res = run("calibrate", str(prob), "--method", "affine", "--out", str(out))
+    assert res.returncode == 2
+    assert "DegenerateVariance: classifier 0" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not out.exists()
+
+
 def test_calibrate_infinite_cutoff_keeps_every_sample(tmp_path):
     out = tmp_path / "m.json"
     argv = ["calibrate", str(GOLDEN), "--method", "independent-sigmoid", "--cutoff=-inf"]

@@ -11,12 +11,13 @@ from calib import (
     MonotonicityViolation,
     Problem,
     compute_loss,
-    cover,
     difficulty_order,
     extract_candidates,
+    oracle_solve,
+    thresholds,
 )
 
-from conftest import small_problem
+from conftest import candidates, small_problem, tie_heavy_problem
 
 
 def make_state(problem):
@@ -130,7 +131,7 @@ def test_random_walk_apply_undo_round_trip(seed):
     for _ in range(30):
         j = rng.randrange(prob.num_classifiers)
         cur = st.positions[j]
-        hi = len(st.grid[j]) - 1
+        hi = st.grid.lengths[j] - 1
         if cur == hi and rng.random() < 0.5 and st.journal:
             st.undo_edge()
             steps -= 1
@@ -146,7 +147,7 @@ def test_random_walk_apply_undo_round_trip(seed):
         assert np.array_equal(fp_bits(st) & ~before_neg, newly_bits)
         assert fp == compute_loss(prob, st.config())
         # newly is the edge's row minus what was already covered
-        row = prob.negative_scores[j] > st.grid[j][target]
+        row = prob.negative_scores[j] > st.grid.thresholds[j, target]
         assert np.array_equal(newly_bits, row & ~before_neg)
         theta = np.array(st.config())[:, None]
         covered = (prob.positive_scores > theta).any(axis=0).tolist()
@@ -169,7 +170,7 @@ def test_rows_match_threshold_rule(seed):
     prob = small_problem(seed)
     st = make_state(prob)
     for j in range(prob.num_classifiers):
-        for t, theta in enumerate(st.grid[j]):
+        for t, theta in enumerate(candidates(st.grid, j)):
             expected = prob.negative_scores[j] > theta
             assert np.array_equal(bits(st.rows[j, t], prob.num_negatives), expected)
             assert st.cost[j, t] == expected.sum()
@@ -177,12 +178,32 @@ def test_rows_match_threshold_rule(seed):
 
 def test_rows_do_not_depend_on_block_size(monkeypatch):
     prob = small_problem(3)
-    whole = make_state(prob)
-    monkeypatch.setattr(cover, "_BLOCK_BYTES", 1)  # one classifier per block
+    whole, solved = make_state(prob), oracle_solve(prob)
+    monkeypatch.setattr(thresholds, "_BLOCK_BYTES", 1)  # one classifier per block
     blocked = make_state(prob)
     assert np.array_equal(blocked.rows, whole.rows)
     assert np.array_equal(blocked.cost, whole.cost)
     assert np.array_equal(blocked.cover_position, whole.cover_position)
+    assert oracle_solve(prob) == solved
+
+
+ADJACENT = float(np.nextafter(1.0, 0.0))
+
+
+@pytest.mark.parametrize("prob", [
+    *(small_problem(seed) for seed in range(10)),
+    *(tie_heavy_problem(seed) for seed in range(10)),
+    # The candidate below 1.0 is ADJACENT itself, tied with a positive there.
+    Problem(np.array([[1.0, ADJACENT]]), np.array([[ADJACENT]])),
+])
+def test_cover_position_is_first_candidate_below(prob):
+    st = make_state(prob)
+    for j in range(prob.num_classifiers):
+        cands = np.array(candidates(st.grid, j))
+        for p, score in enumerate(prob.positive_scores[j]):
+            t = st.cover_position[j, p]
+            assert st.grid.thresholds[j, t] < score
+            assert (cands[:t] >= score).all()
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -193,7 +214,7 @@ def test_array_peek_equals_scalar_peeks(seed):
     E = prob.num_classifiers
 
     def looser(j):
-        return rng.randint(st.positions[j], len(st.grid[j]) - 1)
+        return rng.randint(st.positions[j], st.grid.lengths[j] - 1)
 
     for _ in range(3):
         j = rng.randrange(E)

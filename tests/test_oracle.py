@@ -18,7 +18,7 @@ from calib import (
 from calib import oracle
 from calib.oracle import GRID_CAP
 
-from conftest import small_problem, tie_heavy_problem, toy_two_by_two
+from conftest import candidates, small_problem, tie_heavy_problem, toy_two_by_two
 
 
 def reference_oracle(problem: Problem):
@@ -31,7 +31,7 @@ def reference_oracle(problem: Problem):
     """
     grid = extract_candidates(problem)
     E = problem.num_classifiers
-    values = [grid[j] for j in range(E)]
+    values = [candidates(grid, j) for j in range(E)]
     pos_masks: list[list[int]] = []
     neg_masks: list[list[int]] = []
     for j in range(E):

@@ -60,6 +60,16 @@ def test_matrices_read_only(toy):
         toy.positive_scores[0, 0] = 99.0
 
 
+def test_problem_copies_the_callers_arrays():
+    a = np.array([[1.0, 2.0]])
+    p = Problem(a, np.array([[0.5, 3.0]]))
+    assert a.flags.writeable and p.positive_scores is not a
+    a[0, 0] = 9.0  # the caller's array stays theirs to write
+    assert p.positive_scores.tolist() == [[1.0, 2.0]]
+    assert not p.positive_scores.flags.writeable
+    assert p.positive_scores.flags.c_contiguous
+
+
 def test_loss_and_feasibility_toy(toy):
     # hand-worked: thresholds (1.25, 4.2) admit negatives 1.0+2.0 on e0 only
     cfg = (1.25, 4.2)

@@ -17,8 +17,9 @@ from calib import (
     oracle_solve,
     solve_exact,
 )
+from calib.thresholds import packed_above
 
-from conftest import dense_sweep_optimum, small_problem
+from conftest import candidates, dense_sweep_optimum, small_problem
 
 
 def conceded(problem, j, t):
@@ -53,7 +54,7 @@ def brute_difficulty(problem):
 # Hand-worked candidate sets for the 2x2 toy (see conftest.toy_two_by_two).
 def test_toy_candidates_frozen(toy):
     cands = extract_candidates(toy)
-    e0, e1 = cands[0], cands[1]
+    e0, e1 = candidates(cands, 0), candidates(cands, 1)
     assert e0 == (7.0, 3.5, 1.25)
     assert [conceded(toy, 0, t) for t in e0] == [[], [0], [0, 1]]
     assert e1 == (4.2, 2.75, -0.25)
@@ -74,18 +75,18 @@ def test_root_config_free_cover(toy_free):
 def test_sentinel_only_when_top_score_is_negative():
     # top distinct value positive: no sentinel, tightest sits below the top
     p = Problem(np.array([[5.0, 3.0]]), np.array([[4.0, 1.0]]))
-    c = extract_candidates(p)[0]
+    c = candidates(extract_candidates(p), 0)
     assert c == (4.5, 2.0)  # midpoint of 5.0 and 4.0, then the floor
     # top distinct value negative: sentinel one above it
     q = Problem(np.array([[3.0]]), np.array([[6.0, 1.0]]))
-    d = extract_candidates(q)[0]
+    d = candidates(extract_candidates(q), 0)
     assert d[0] == 7.0
     assert conceded(q, 0, d[0]) == []
 
 
 def test_floor_candidate_below_bottom_positive():
     p = Problem(np.array([[2.0, 0.5]]), np.array([[1.0, 3.0]]))
-    c = extract_candidates(p)[0]
+    c = candidates(extract_candidates(p), 0)
     # bottom distinct value is the positive 0.5: floor candidate at -0.5
     assert c[-1] == -0.5
     assert conceded(p, 0, c[-1]) == [0, 1]
@@ -94,7 +95,7 @@ def test_floor_candidate_below_bottom_positive():
 def test_tied_positive_negative_forces_coverage():
     # positive and negative share score 2.0: covering the positive costs it
     p = Problem(np.array([[2.0]]), np.array([[2.0, 0.0]]))
-    c = extract_candidates(p)[0]
+    c = candidates(extract_candidates(p), 0)
     assert all(t < 2.0 for t in c if check_feasible(p, [t]))
     assert difficulty(p)[0] == [1]
     best = oracle_solve(p)
@@ -128,7 +129,7 @@ def test_candidate_structure_invariants(seed):
     prob = small_problem(seed)
     cands = extract_candidates(prob)
     for j in range(prob.num_classifiers):
-        c = cands[j]
+        c = candidates(cands, j)
         assert len(c) == cands.lengths[j] <= prob.num_positives + 1
         assert (cands.thresholds[j, len(c):] == -np.inf).all()  # padding
         assert list(c) == sorted(c, reverse=True)
@@ -183,8 +184,24 @@ def test_difficulty_and_cost_match_brute_force_on_ties(data):
     state = CoverState(prob, extract_candidates(prob))
     assert difficulty_order(state)[0].tolist() == brute_difficulty(prob)
     for j in range(E):
-        for t, theta in enumerate(state.grid[j]):
+        for t, theta in enumerate(candidates(state.grid, j)):
             assert state.cost[j, t] == (prob.negative_scores[j] > theta).sum()
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 128, 129])
+def test_packed_above_matches_threshold_rule(n):
+    """Bit i of word row [j, t] is scores[j, i] > thresholds[j, t], across
+    word boundaries, with scores tied to thresholds and -inf padding."""
+    scores = np.random.default_rng(n).integers(0, 4, size=(3, n)).astype(float)
+    grid = np.full((3, 5), -np.inf)
+    grid[0] = [3.0, 2.0, 1.5, 1.0, 0.0]
+    grid[1, :2] = [2.5, -1.0]
+    grid[2, :1] = [4.0]
+    words = packed_above(scores, grid)
+    assert words.dtype == np.uint64 and words.shape == (3, 5, -(-n // 64))
+    bits = np.unpackbits(words.view(np.uint8), axis=-1, bitorder="little")
+    assert not bits[..., n:].any()  # padding bits stay clear
+    assert np.array_equal(bits[..., :n].astype(bool), scores[:, None, :] > grid[:, :, None])
 
 
 DBL_MAX = float(np.finfo(np.float64).max)
