@@ -54,7 +54,10 @@ class SigmoidParams(_FloatFields):
     b: float
 
     def __call__(self, scores: np.ndarray) -> np.ndarray:
-        return 1.0 / (1.0 + np.exp(np.clip(self.a * scores + self.b, -500, 500)))
+        # An overflowing logit is +-inf, which the clip brings back.
+        with np.errstate(over="ignore"):
+            z = self.a * scores + self.b
+        return 1.0 / (1.0 + np.exp(np.clip(z, -500, 500)))
 
 
 @dataclass(frozen=True)
@@ -97,7 +100,7 @@ class IsotonicParams:
             raise ValidationError(
                 f"isotonic map has {bp.size} breakpoints and {vals.size} values"
             )
-        if not (np.diff(bp) > 0.0).all():
+        if not (bp[1:] > bp[:-1]).all():  # np.diff would overflow at the float limit
             raise ValidationError("isotonic breakpoints must strictly ascend")
         bp.flags.writeable = vals.flags.writeable = False
         object.__setattr__(self, "breakpoints", bp)
@@ -126,7 +129,9 @@ class AffineParams(_FloatFields):
     b: float
 
     def __call__(self, scores: np.ndarray) -> np.ndarray:
-        return self.a * scores + self.b
+        # a and b are finite, so an overflow is +-inf and still ranks in order.
+        with np.errstate(over="ignore"):
+            return self.a * scores + self.b
 
 
 @dataclass(frozen=True)
@@ -137,7 +142,9 @@ class ShiftParams(_FloatFields):
     threshold: float
 
     def __call__(self, scores: np.ndarray) -> np.ndarray:
-        return scores - self.threshold
+        # An overflowing margin is +-inf, on the same side of 0 as the exact one.
+        with np.errstate(over="ignore"):
+            return scores - self.threshold
 
 
 MAP_KINDS = {
@@ -227,6 +234,10 @@ def _sigmoid_nll_into(scores, complement, a, b, z, work) -> float:
     return float(work.sum())
 
 
+# Scores near the float limit overflow squares, the gradient and the
+# Hessian to inf.  A non-finite step finds no descent in the line search,
+# so the fit stops where it is.
+@np.errstate(over="ignore")
 def _fit_sigmoid(scores: np.ndarray, targets: np.ndarray) -> tuple[float, float]:
     """Minimize sigmoid_nll over (a, b); convex, so damped Newton suffices.
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EmptyJournal, MonotonicityViolation
-from .problem import Problem, compute_loss
+from .problem import Problem
 from .thresholds import CandidateGrid, packed_above
 
 
@@ -53,7 +53,7 @@ class CoverState:
         self.positions = np.zeros(len(grid), dtype=np.intp)
         self.fp = np.zeros(self.rows.shape[2], dtype=np.uint64)
         self.fp_count = 0
-        # (classifier, old position, newly covered, their count)
+        # (classifier, old position, previous fp, previous fp_count)
         self.journal: list[tuple[int, int, np.ndarray, int]] = []
 
     def peek_edge(self, classifier, target) -> tuple[np.ndarray, np.ndarray]:
@@ -85,11 +85,10 @@ class CoverState:
                 f"classifier {classifier}: target position {target} is tighter "
                 f"than current {old}"
             )
-        newly = self.rows[classifier, target] & ~self.fp
-        inc = int(np.bitwise_count(newly).sum())
-        self.fp |= newly
-        self.fp_count += inc
-        self.journal.append((classifier, old, newly, inc))
+        # A new array each time, so the journal keeps the previous one as is.
+        self.journal.append((classifier, old, self.fp, self.fp_count))
+        self.fp = self.fp | self.rows[classifier, target]
+        self.fp_count = int(np.bitwise_count(self.fp).sum())
         self.positions[classifier] = target
         return self.fp_count
 
@@ -97,17 +96,9 @@ class CoverState:
         """Exact inverse of the most recent apply_edge."""
         if not self.journal:
             raise EmptyJournal("undo with no pending apply")
-        classifier, old, newly, inc = self.journal.pop()
-        assert not (newly & ~self.fp).any(), "undo does not mirror its apply"
-        self.fp ^= newly
-        self.fp_count -= inc
+        classifier, old, self.fp, self.fp_count = self.journal.pop()
         self.positions[classifier] = old
 
     def config(self) -> tuple[float, ...]:
         """Threshold values of the current candidate positions."""
         return self.grid.config(self.positions)
-
-    def assert_consistent(self) -> None:
-        """Debug oracle: the incremental count must match batch recomputation."""
-        assert self.fp_count == int(np.bitwise_count(self.fp).sum())
-        assert self.fp_count == compute_loss(self.problem, self.config())

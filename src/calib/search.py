@@ -6,7 +6,9 @@ enough to cover that level's positive.  Every leaf is a feasible
 configuration; depth-first traversal with an incumbent bound, sibling
 equivalence elimination, root depth reduction, and difficulty-first level
 ordering makes the exhaustive version tractable.  A positive's difficulty
-is read off the root CoverState's per-candidate costs.
+is read off the root CoverState's per-candidate costs.  A local search
+improves each new incumbent before it is recorded, so the bound prunes
+against a better one.
 """
 
 from __future__ import annotations
@@ -63,12 +65,16 @@ class SearchOptions:
     before the first leaf, in which case the all-lowest fallback is
     returned; node_budget starts binding only once a first incumbent exists,
     so a tiny node budget still yields the first-descent leaf.
+    enable_local_search improves each new incumbent before it is recorded
+    (``LeafImprover``); with it off the search is the paper's plain
+    depth-first one.
     """
 
     enable_prune_bound: bool = True
     enable_prune_equivalence: bool = True
     enable_depth_reduction: bool = True
     enable_difficulty_order: bool = True
+    enable_local_search: bool = True
     budget_ms: float | None = None
     node_budget: int | None = None
     random_order_seed: int | None = None
@@ -88,6 +94,8 @@ class SearchTreeSpec:
 
     level_positives: list[int]
     root_covered: list[int] = field(default_factory=list)
+    # max(difficulty): no leaf can lose fewer negatives.
+    root_bound: int = 0
 
 
 def difficulty_order(state: CoverState) -> tuple[np.ndarray, list[int]]:
@@ -112,16 +120,114 @@ def plan_tree(state: CoverState, options: SearchOptions) -> SearchTreeSpec:
     """
     levels = list(range(state.cover_position.shape[1]))
     covered: list[int] = []
-    if options.enable_depth_reduction or options.enable_difficulty_order:
-        difficulty, order = difficulty_order(state)
-        if options.enable_difficulty_order:
-            levels = order
-        if options.enable_depth_reduction:
-            covered = np.flatnonzero(difficulty == 0).tolist()
-            levels = [p for p in levels if difficulty[p] > 0]
+    difficulty, order = difficulty_order(state)
+    if options.enable_difficulty_order:
+        levels = order
+    if options.enable_depth_reduction:
+        covered = np.flatnonzero(difficulty == 0).tolist()
+        levels = [p for p in levels if difficulty[p] > 0]
     if not options.enable_difficulty_order and options.random_order_seed is not None:
         random.Random(options.random_order_seed).shuffle(levels)
-    return SearchTreeSpec(level_positives=levels, root_covered=covered)
+    return SearchTreeSpec(level_positives=levels, root_covered=covered,
+                          root_bound=int(difficulty.max(initial=0)))
+
+
+LOCAL_SEARCH_ROUNDS = 5
+
+
+class LeafImprover:
+    """Local search on a leaf's positions, a large-neighbourhood move for set cover.
+
+    A trial drops one classifier to position 0 and re-covers the positives
+    only it covered, greedily: the positive whose cheapest cover concedes
+    most goes first, through the classifier that concedes fewest new
+    negatives.  Classifiers are tried in descending cost at their current
+    position, and a trial is kept only if it loses strictly fewer
+    negatives.  Position 0 covers no negative, and the positives it covers
+    are never uncovered, so only the other live positives are tracked.
+    """
+
+    def __init__(self, state: CoverState):
+        self.rows = state.rows
+        self.cost = state.cost
+        self.classifiers = np.arange(len(state.positions))
+        # Classifier 0 at position 0 concedes nothing, so it pads the ORs.
+        self.padded = np.concatenate(([0], self.classifiers, [0]))
+        live = state.cover_position.min(axis=0) > 0
+        self.cover_position = state.cover_position[:, live]
+        self.cover_lists = self.cover_position.T.tolist()
+
+    def improve(self, positions: list[int], loss: int,
+                bound: int) -> tuple[list[int], int] | None:
+        """Improved (positions, loss), or None if no round improves the leaf.
+
+        Stops at ``bound``, which no configuration can beat.
+        """
+        improved = False
+        for _ in range(LOCAL_SEARCH_ROUNDS):
+            order, tables = self.tables(positions)
+            kept = False
+            for j in order:
+                if tables is None:
+                    tables = self.tables(positions)[1]
+                sole, without, counts = tables
+                if counts[j] >= loss:
+                    continue
+                trial = self.trial(j, positions, sole[j], without[j], counts[j], loss)
+                if trial is not None:
+                    positions, loss = trial
+                    tables = None
+                    kept = improved = True
+                    if loss <= bound:
+                        return positions, loss
+            if not kept:
+                break
+        return (positions, loss) if improved else None
+
+    def tables(self, positions: list[int]):
+        """The raised classifiers in descending cost, and per classifier j the
+        live positives only j covers, the false positives without j and their count.
+
+        A per-positive cover count finds the positives one classifier covers;
+        prefix and suffix ORs of the current rows give every j's set at once.
+        """
+        padded = np.array([0, *positions, 0])
+        current = padded[1:-1]
+        costs = self.cost[self.classifiers, current].tolist()
+        order = sorted((j for j, t in enumerate(positions) if t), key=lambda j: -costs[j])
+        covered = current[:, None] >= self.cover_position
+        sole: list[list[int]] = [[] for _ in positions]
+        js, qs = (covered & (np.add.reduce(covered, axis=0) == 1)).nonzero()
+        for j, q in zip(js.tolist(), qs.tolist()):
+            sole[j].append(q)
+        rows = self.rows[self.padded, padded]
+        before = np.bitwise_or.accumulate(rows, axis=0)
+        after = np.bitwise_or.accumulate(rows[::-1], axis=0)
+        without = before[:-2] | after[-3::-1]
+        counts = np.add.reduce(np.bitwise_count(without), axis=1).tolist()
+        return order, (sole, without, counts)
+
+    def trial(self, j: int, positions: list[int], uncovered: list[int], fp: np.ndarray,
+              count: int, loss: int) -> tuple[list[int], int] | None:
+        """Drop j to position 0 and re-cover; None unless the count falls below loss."""
+        positions = list(positions)
+        positions[j] = 0
+        while uncovered:
+            worst = -1
+            for q in uncovered:
+                # The false-positive count after each classifier's cover of q.
+                covers = self.rows[self.classifiers, self.cover_position[:, q]]
+                counts = np.add.reduce(np.bitwise_count(covers | fp), axis=1).tolist()
+                fewest = min(counts)
+                if fewest >= loss:
+                    return None
+                if fewest > worst:
+                    worst, worst_q, via = fewest, q, counts.index(fewest)
+            count = worst
+            positions[via] = t = self.cover_lists[worst_q][via]
+            fp = fp | self.rows[via, t]
+            uncovered = [q for q in uncovered if self.cover_lists[q][via] > t]
+        return positions, count
 
 
 def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solution:
@@ -173,7 +279,7 @@ def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solut
         """Increments, classifiers and targets of the children, in (inc, j) order."""
         targets = cover_by_level[p]
         incs, newly = state.peek_edge(classifiers, targets)
-        order = np.argsort(incs, kind="stable")
+        order = incs.argsort(kind="stable")
         incs = incs[order]
         if options.enable_prune_equivalence:
             # Equal sets have equal increments, so only a run of tied
@@ -196,17 +302,8 @@ def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solut
                 order, incs = np.delete(order, dropped), np.delete(incs, dropped)
         return incs.tolist(), order.tolist(), targets[order].tolist()
 
-    def expand(depth: int) -> Iterator[None]:
+    def expand(p: int) -> Iterator[None]:
         """Yield once per child entered, with the child's edge applied."""
-        p = levels[depth]
-        covering = state.positions >= cover_by_level[p]
-        j = int(covering.argmax())
-        if covering[j]:
-            # Pass-through node: the level's positive is already covered;
-            # argmax names the first classifier covering it.
-            assignment[p] = j
-            yield
-            return
         # Planned in full before any child is entered, so a budget firing below
         # still counts every equivalence prune.
         incs, js, targets = plan_children(p)
@@ -226,34 +323,67 @@ def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solut
             yield
             state.undo_edge()
 
-    def enter(depth: int) -> bool:
-        """Visit a node; False once a budget has fired."""
-        nonlocal best_loss, best_config, best_assignment
-        stats.nodes_visited += 1
-        if over_budget():
-            return False
-        if depth < h:
-            stack.append(expand(depth))
-        elif best_loss is None or state.fp_count < best_loss:
-            best_loss = state.fp_count
+    def record_leaf() -> None:
+        """Make the current leaf, improved by local search, the incumbent."""
+        nonlocal best_loss, best_config, best_assignment, improver
+        best_loss = state.fp_count
+        best_assignment = list(assignment)  # type: ignore[arg-type]
+        improved = None
+        if options.enable_local_search and best_loss > tree.root_bound:
+            if improver is None:
+                improver = LeafImprover(state)
+            improved = improver.improve(state.positions.tolist(), best_loss, tree.root_bound)
+        if improved is None:
             best_config = state.config()
-            best_assignment = list(assignment)  # type: ignore[arg-type]
-            ms = elapsed_ms()
-            stats.incumbent_history.append((ms, best_loss))
-            if options.trace is not None:
-                options.trace(ms, stats.nodes_visited, best_loss)
-        return True
+        else:
+            positions, best_loss = improved
+            best_config = grid.config(positions)
+            # The first classifier covering each level's positive.
+            covering = np.array(positions)[:, None] >= cover_by_level[levels].T
+            for p, j in zip(levels, covering.argmax(axis=0).tolist()):
+                best_assignment[p] = j
+        ms = elapsed_ms()
+        stats.incumbent_history.append((ms, best_loss))
+        if options.trace is not None:
+            options.trace(ms, stats.nodes_visited, best_loss)
 
-    # Depth-first: the top iterator either enters its next child, one level
-    # below it, or is exhausted and popped.  The stack is explicit, so tree
-    # depth is not bounded by Python's recursion limit.
-    stack: list[Iterator[None]] = []
+    def enter(depth: int) -> bool:
+        """Visit a node and the pass-through nodes below it; False once a budget has fired.
+
+        A pass-through node's positive is already covered, so its one child
+        is visited in this loop.  A node with children to plan leaves their
+        iterator on the stack.
+        """
+        while True:
+            stats.nodes_visited += 1
+            if over_budget():
+                return False
+            if depth == h:
+                if best_loss is None or state.fp_count < best_loss:
+                    record_leaf()
+                return True
+            p = levels[depth]
+            covering = state.positions >= cover_by_level[p]
+            j = int(covering.argmax())
+            if not covering[j]:
+                stack.append((depth + 1, expand(p)))
+                return True
+            # argmax names the first classifier covering the positive.
+            assignment[p] = j
+            depth += 1
+
+    improver: LeafImprover | None = None
+    # Depth-first: the top iterator either enters its next child, at the
+    # depth it was pushed with, or is exhausted and popped.  The stack is
+    # explicit, so tree depth is not bounded by Python's recursion limit.
+    stack: list[tuple[int, Iterator[None]]] = []
     within_budget = enter(0)
     while within_budget and stack:
-        if next(stack[-1], _EXHAUSTED) is _EXHAUSTED:
+        depth, children = stack[-1]
+        if next(children, _EXHAUSTED) is _EXHAUSTED:
             stack.pop()
         else:
-            within_budget = enter(len(stack))
+            within_budget = enter(depth)
 
     stats.wall_time_ms = elapsed_ms()
     if best_loss is None:

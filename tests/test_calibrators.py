@@ -441,6 +441,25 @@ def test_sigmoid_clip_handles_extreme_scores():
     assert np.isfinite(out).all()
 
 
+BIG = float(np.finfo(np.float64).max)
+
+
+@pytest.mark.filterwarnings("error")
+def test_maps_and_fits_at_the_float_limit_warn_nothing():
+    scores = np.array([-BIG, -1e308, 0.0, 7.25e16, BIG])
+    assert SigmoidParams(a=-7.25, b=1.0)(scores).tolist() == pytest.approx(
+        [0.0, 0.0, 1 / (1 + np.e), 1.0, 1.0])
+    assert AffineParams(a=7.25, b=-1.0)(scores)[[0, -1]].tolist() == [-np.inf, np.inf]
+    margins = ShiftParams(threshold=-BIG)(scores)
+    assert margins[0] == 0.0 and margins[-1] == np.inf
+    iso = IsotonicParams(breakpoints=[-BIG, BIG], values=[0.0, 1.0])
+    assert iso(scores).tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
+    # Squares, gradient and Hessian overflow; the fit stops where it is.
+    a, b = _fit_sigmoid(np.array([7.250000000000002e16, 3.5e-323, 1.0000000000000002e16, BIG]),
+                        np.array([0.75, 0.75, 0.25, 0.25]))
+    assert np.isfinite([a, b]).all()
+
+
 @pytest.mark.parametrize(
     "fit",
     [

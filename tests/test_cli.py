@@ -140,7 +140,9 @@ def test_solve_node_budget_truncates(tmp_path):
         "--node-budget", "1", "--out", str(out),
     )
     assert res.returncode == 3
-    assert load_solution(out).loss == 9
+    # Local search improves the first-descent leaf (loss 9) to the optimum,
+    # which one node cannot prove.
+    assert load_solution(out).loss == 8
 
 
 def test_solve_ablation_flags_preserve_loss(tmp_path):
@@ -370,6 +372,19 @@ def test_calibrate_affine_overflowing_moments_exits_2(tmp_path):
     assert "DegenerateVariance: classifier 0" in res.stderr
     assert "Traceback" not in res.stderr
     assert not out.exists()
+
+
+def test_calibrate_scores_near_the_float_limit_print_no_warning(tmp_path):
+    # Squaring these scores overflows inside the sigmoid fit.
+    prob = tmp_path / "p.json"
+    save_problem(Problem(np.array([[7.250000000000002e+16, 3.5e-323]]),
+                         np.array([[1.0000000000000002e+16, 1.7976931348623157e+308]])), prob)
+    out = tmp_path / "m.json"
+    res = run("calibrate", str(prob), "--method", "independent-sigmoid", "--out", str(out),
+              env_log="info")
+    assert res.returncode == 0
+    assert res.stdout == ""
+    assert res.stderr.splitlines() == [f"wrote {out} (independent-sigmoid, E=1)"]
 
 
 def test_calibrate_infinite_cutoff_keeps_every_sample(tmp_path):

@@ -118,16 +118,32 @@ def test_assignment_points_at_covering_classifier():
                 assert s[a] > theta[a]
 
 
+PLAIN_DFS = {"enable_local_search": False}
+
+
 def test_node_budget_one_returns_first_descent_leaf():
     prob = small_problem(5)  # first-descent leaf is strictly suboptimal here
     exact = solve_exact(prob)
-    trunc = solve_anytime(prob, SearchOptions(node_budget=1))
+    trunc = solve_anytime(prob, SearchOptions(node_budget=1, **PLAIN_DFS))
     assert not trunc.optimal and not trunc.fallback
     assert trunc.loss == 9 and exact.loss == 8
     assert check_feasible(prob, trunc.config)
     # descent nodes + leaf + the single interrupted node after the budget
     assert trunc.stats.nodes_visited == trunc.stats.levels + 2
     assert len(trunc.stats.incumbent_history) == 1
+
+
+def test_node_budget_one_improves_first_descent_leaf():
+    prob = small_problem(5)
+    plain = solve_anytime(prob, SearchOptions(node_budget=1, **PLAIN_DFS))
+    improved = solve_anytime(prob, SearchOptions(node_budget=1))
+    assert improved.loss == 8  # 9 improved to the optimum, reached but not proven
+    assert not improved.optimal and not improved.fallback
+    assert check_feasible(prob, improved.config)
+    assert improved.loss == compute_loss(prob, improved.config)
+    # The same first descent, one incumbent, the improved loss recorded.
+    assert improved.stats.nodes_visited == plain.stats.nodes_visited
+    assert [loss for _, loss in improved.stats.incumbent_history] == [8]
 
 
 def test_node_budget_monotone():
@@ -138,6 +154,60 @@ def test_node_budget_monotone():
     ]
     assert losses == sorted(losses, reverse=True)
     assert losses[-1] == solve_exact(prob).loss
+
+
+@pytest.mark.parametrize("name", list(search.ABLATIONS))
+def test_local_search_keeps_oracle_equality(name):
+    for seed in range(300):
+        prob = small_problem(seed)
+        ref = oracle_solve(prob).loss
+        for budget in (None, 1, 3, 10):
+            opts = SearchOptions(random_order_seed=seed, node_budget=budget,
+                                 **search.ABLATIONS[name])
+            sol = solve_exact(prob, opts)
+            case = f"seed {seed} budget {budget}"
+            assert check_feasible(prob, sol.config), case
+            assert sol.loss == compute_loss(prob, sol.config), case
+            if budget is None:
+                assert sol.optimal and sol.loss == ref, case
+            assert sol.loss >= ref, case
+            losses = [loss for _, loss in sol.stats.incumbent_history]
+            assert all(b < a for a, b in zip(losses, losses[1:])), case
+            assert losses[-1] == sol.loss, case
+            for p, a in enumerate(sol.assignment):
+                assert a == ROOT_COVERED or prob.positive_scores[a, p] > sol.config[a], case
+
+
+def test_every_improved_incumbent_is_feasible(monkeypatch):
+    calls = []
+    improve = search.LeafImprover.improve
+
+    def recorded(self, positions, loss, bound):
+        result = improve(self, positions, loss, bound)
+        calls.append((loss, bound, result))
+        return result
+
+    monkeypatch.setattr(search.LeafImprover, "improve", recorded)
+    improved = 0
+    for seed in range(300):
+        prob = small_problem(seed)
+        grid = extract_candidates(prob)
+        calls.clear()
+        sol = solve_exact(prob)
+        history = [loss for _, loss in sol.stats.incumbent_history]
+        for loss, bound, result in calls:
+            # A leaf already at the root bound is not searched.
+            assert loss > bound, f"seed {seed}"
+            if result is None:
+                continue
+            improved += 1
+            positions, new_loss = result
+            config = grid.config(positions)
+            assert bound <= new_loss < loss, f"seed {seed}"
+            assert check_feasible(prob, config), f"seed {seed}"
+            assert new_loss == compute_loss(prob, config), f"seed {seed}"
+            assert new_loss in history, f"seed {seed}"
+    assert improved > 0  # the fuzz reaches improving moves
 
 
 def test_wall_budget_expiry_falls_back_to_lowest(toy):
@@ -194,8 +264,9 @@ def test_options_validation():
 
 # Golden totals over small_problem(0..199) of [nodes_visited,
 # nodes_pruned_bound, nodes_pruned_equivalence, positives_removed_by_root]
-# per named ablation.  Losses alone cannot see a change in child order,
-# pruning or depth reduction; these totals do.
+# per named ablation, for the paper's plain depth-first search.  Losses
+# alone cannot see a change in child order, pruning or depth reduction;
+# these totals do.
 TRAVERSAL_TOTALS = {
     "all-on": [700, 713, 10, 469],
     "no-bound": [3369, 0, 80, 469],
@@ -205,24 +276,44 @@ TRAVERSAL_TOTALS = {
     "all-off": [6156, 0, 0, 0],
 }
 
+# The same totals with local search on.  Without the bound nothing prunes
+# against the incumbent, so those rows equal the plain search's.
+TRAVERSAL_TOTALS_LOCAL_SEARCH = {
+    "all-on": [670, 718, 10, 469],
+    "no-bound": [3369, 0, 80, 469],
+    "no-equivalence": [670, 728, 0, 469],
+    "no-depth-reduction": [1154, 718, 10, 0],
+    "random-order": [776, 1113, 16, 469],
+    "all-off": [6156, 0, 0, 0],
+}
 
-def test_traversal_counts_pinned():
+
+def traversal_totals(**options):
     totals = {name: [0, 0, 0, 0] for name in search.ABLATIONS}
     for seed in range(200):
         prob = small_problem(seed)
         for name, flags in search.ABLATIONS.items():
-            st = solve_exact(prob, SearchOptions(random_order_seed=seed, **flags)).stats
+            opts = SearchOptions(random_order_seed=seed, **flags, **options)
+            st = solve_exact(prob, opts).stats
             counts = [st.nodes_visited, st.nodes_pruned_bound,
                       st.nodes_pruned_equivalence, st.positives_removed_by_root]
             totals[name] = [a + b for a, b in zip(totals[name], counts)]
-    assert totals == TRAVERSAL_TOTALS
+    return totals
+
+
+def test_traversal_counts_pinned():
+    assert traversal_totals(**PLAIN_DFS) == TRAVERSAL_TOTALS
+
+
+def test_traversal_counts_pinned_with_local_search():
+    assert traversal_totals() == TRAVERSAL_TOTALS_LOCAL_SEARCH
 
 
 # Golden totals over tie_heavy_problem(0..199) of [nodes_visited,
-# nodes_pruned_bound, nodes_pruned_equivalence] per named ablation.  Runs
-# of three or more tied increments occur here with all-equal, all-distinct
-# and mixed sets, so these pin equivalence pruning where TRAVERSAL_TOTALS
-# sees few ties.
+# nodes_pruned_bound, nodes_pruned_equivalence] per named ablation, for
+# the plain depth-first search.  Runs of three or more tied increments
+# occur here with all-equal, all-distinct and mixed sets, so these pin
+# equivalence pruning where TRAVERSAL_TOTALS sees few ties.
 TIE_TOTALS = {
     "all-on": [1016, 732, 527],
     "no-bound": [3941, 0, 1040],
@@ -232,18 +323,35 @@ TIE_TOTALS = {
     "all-off": [14326, 0, 0],
 }
 
+TIE_TOTALS_LOCAL_SEARCH = {
+    "all-on": [982, 739, 520],
+    "no-bound": [3941, 0, 1040],
+    "no-equivalence": [1015, 1341, 0],
+    "no-depth-reduction": [1104, 739, 520],
+    "random-order": [1187, 1205, 890],
+    "all-off": [14326, 0, 0],
+}
 
-def test_tied_increment_counts_pinned():
+
+def tie_totals(**options):
     totals = {name: [0, 0, 0] for name in search.ABLATIONS}
     for seed in range(200):
         prob = tie_heavy_problem(seed)
         for name, flags in search.ABLATIONS.items():
-            sol = solve_exact(prob, SearchOptions(random_order_seed=seed, **flags))
+            sol = solve_exact(prob, SearchOptions(random_order_seed=seed, **flags, **options))
             assert sol.loss == oracle_solve(prob).loss
             st = sol.stats
             counts = [st.nodes_visited, st.nodes_pruned_bound, st.nodes_pruned_equivalence]
             totals[name] = [a + b for a, b in zip(totals[name], counts)]
-    assert totals == TIE_TOTALS
+    return totals
+
+
+def test_tied_increment_counts_pinned():
+    assert tie_totals(**PLAIN_DFS) == TIE_TOTALS
+
+
+def test_tied_increment_counts_pinned_with_local_search():
+    assert tie_totals() == TIE_TOTALS_LOCAL_SEARCH
 
 
 def test_search_edges_go_through_cover_state_methods(monkeypatch):
