@@ -234,13 +234,14 @@ def _sigmoid_nll_into(scores, complement, a, b, z, work) -> float:
     return float(work.sum())
 
 
-# Scores near the float limit overflow squares, the gradient and the
-# Hessian to inf.  A non-finite step finds no descent in the line search,
-# so the fit stops where it is.
+# Scores near the float limit overflow squares, the gradient or the
+# Hessian; a non-finite step would find no descent, so the fit raises
+# rather than return the start point as if fitted.
 @np.errstate(over="ignore")
 def _fit_sigmoid(scores: np.ndarray, targets: np.ndarray) -> tuple[float, float]:
     """Minimize sigmoid_nll over (a, b); convex, so damped Newton suffices.
 
+    Raises DegenerateVariance when the gradient or Hessian is not finite.
     Every array is built in one of two scratch arrays, each operation as
     in the plain expressions (p = 1/(1 + exp(clip(a*s + b))), residual =
     t - p, w = p (1 - p)), so the fit is the same bit for bit.
@@ -259,6 +260,8 @@ def _fit_sigmoid(scores: np.ndarray, targets: np.ndarray) -> tuple[float, float]
         np.divide(1.0, p, out=p)
         residual = np.subtract(targets, p, out=work)
         grad = np.array([np.dot(residual, scores), residual.sum()])
+        if not np.isfinite(grad).all():
+            raise DegenerateVariance("scores overflow the sigmoid fit's gradient")
         if np.abs(grad).max() < NEWTON_GRAD_TOL:
             break
         w = np.subtract(1.0, p, out=work)
@@ -267,6 +270,8 @@ def _fit_sigmoid(scores: np.ndarray, targets: np.ndarray) -> tuple[float, float]
         h_ab = np.dot(w, scores)
         h_bb = w.sum()
         hess = np.array([[h_aa, h_ab], [h_ab, h_bb]])
+        if not np.isfinite(hess).all():
+            raise DegenerateVariance("scores overflow the sigmoid fit's Hessian")
         hess += 1e-12 * np.eye(2)  # scores may be constant
         try:
             step = np.linalg.solve(hess, -grad)
@@ -292,17 +297,21 @@ def _fit_sigmoids(method: str, pos_sets, neg_sets) -> CalibrationModel:
     """One sigmoid per classifier on its (positives, negatives) pair.
 
     A classifier with no positives gets the constant map at the smoothed
-    negative target instead.
+    negative target instead.  Raises DegenerateVariance naming the
+    classifier whose scores overflow the fit.
     """
     maps = []
-    for pos, neg in zip(pos_sets, neg_sets):
+    for j, (pos, neg) in enumerate(zip(pos_sets, neg_sets)):
         t_pos, t_neg = smoothed_targets(len(pos), len(neg))
         if len(pos) == 0:
             maps.append(ConstantParams(t_neg))
             continue
         scores = np.concatenate([pos, neg])
         targets = np.concatenate([np.full(len(pos), t_pos), np.full(len(neg), t_neg)])
-        maps.append(SigmoidParams(*_fit_sigmoid(scores, targets)))
+        try:
+            maps.append(SigmoidParams(*_fit_sigmoid(scores, targets)))
+        except DegenerateVariance as e:
+            raise DegenerateVariance(f"classifier {j}: {e}") from None
     return CalibrationModel(method, tuple(maps))
 
 

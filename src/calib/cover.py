@@ -98,7 +98,3 @@ class CoverState:
             raise EmptyJournal("undo with no pending apply")
         classifier, old, self.fp, self.fp_count = self.journal.pop()
         self.positions[classifier] = old
-
-    def config(self) -> tuple[float, ...]:
-        """Threshold values of the current candidate positions."""
-        return self.grid.config(self.positions)

@@ -38,7 +38,7 @@ class InfeasibleSolution(CalibError):
 
 
 class DegenerateVariance(CalibError):
-    """All sampled negative scores are equal; affine standardization undefined."""
+    """Scores leave a calibration fit undefined: constant, or overflowing its moments."""
 
 
 class UnreachableRecall(CalibError):

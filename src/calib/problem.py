@@ -151,9 +151,9 @@ class Solution:
 
     ``config`` holds one threshold per classifier, the decision variable of
     the problem.  ``assignment`` has one entry per positive (original column
-    order): the 0-based index of the classifier responsible for covering it,
-    or the string marker ``"root-covered"`` for positives already satisfied
-    by the all-tightest root configuration.  ``optimal`` is True only when the
+    order): the smallest 0-based index of a classifier covering it, as
+    ``derive_assignment`` gives, or the string marker ``"root-covered"``
+    for positives removed by depth reduction.  ``optimal`` is True only when the
     search exhausted the tree; ``fallback`` marks the all-lowest emergency
     config returned when a budget expired before the first leaf.
     """
@@ -197,7 +197,7 @@ def derive_assignment(problem: Problem, config) -> list[int]:
     covered = problem.positive_scores > theta[:, None]
     if not covered.any(axis=0).all():
         raise InfeasibleSolution("config leaves some positive uncovered")
-    return [int(np.argmax(covered[:, p])) for p in range(problem.num_positives)]
+    return covered.argmax(axis=0).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -65,16 +65,12 @@ class SearchOptions:
     before the first leaf, in which case the all-lowest fallback is
     returned; node_budget starts binding only once a first incumbent exists,
     so a tiny node budget still yields the first-descent leaf.
-    enable_local_search improves each new incumbent before it is recorded
-    (``LeafImprover``); with it off the search is the paper's plain
-    depth-first one.
     """
 
     enable_prune_bound: bool = True
     enable_prune_equivalence: bool = True
     enable_depth_reduction: bool = True
     enable_difficulty_order: bool = True
-    enable_local_search: bool = True
     budget_ms: float | None = None
     node_budget: int | None = None
     random_order_seed: int | None = None
@@ -157,13 +153,11 @@ class LeafImprover:
         self.cover_position = state.cover_position[:, live]
         self.cover_lists = self.cover_position.T.tolist()
 
-    def improve(self, positions: list[int], loss: int,
-                bound: int) -> tuple[list[int], int] | None:
-        """Improved (positions, loss), or None if no round improves the leaf.
+    def improve(self, positions: list[int], loss: int, bound: int) -> tuple[list[int], int]:
+        """(positions, loss) after the kept trials, the input pair if none is kept.
 
         Stops at ``bound``, which no configuration can beat.
         """
-        improved = False
         for _ in range(LOCAL_SEARCH_ROUNDS):
             order, tables = self.tables(positions)
             kept = False
@@ -177,12 +171,12 @@ class LeafImprover:
                 if trial is not None:
                     positions, loss = trial
                     tables = None
-                    kept = improved = True
+                    kept = True
                     if loss <= bound:
                         return positions, loss
             if not kept:
                 break
-        return (positions, loss) if improved else None
+        return positions, loss
 
     def tables(self, positions: list[int]):
         """The raised classifiers in descending cost, and per classifier j the
@@ -252,14 +246,8 @@ def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solut
     stats = SearchStats(levels=h)
     stats.positives_removed_by_root = len(tree.root_covered)
 
-    # Each leaf copies this list; every level on its path was just written.
-    assignment: list[int | str | None] = [None] * problem.num_positives
-    for p in tree.root_covered:
-        assignment[p] = ROOT_COVERED
-
     best_loss: int | None = None
-    best_config: tuple[float, ...] | None = None
-    best_assignment: list[int | str] | None = None
+    best_positions: list[int] | None = None
 
     def elapsed_ms() -> float:
         return (time.perf_counter() - t0) * 1000.0
@@ -317,31 +305,19 @@ def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solut
                 # so every later sibling fails the bound too.
                 stats.nodes_pruned_bound += len(incs) - k
                 return
-            j = js[k]
-            state.apply_edge(j, targets[k])
-            assignment[p] = j
+            state.apply_edge(js[k], targets[k])
             yield
             state.undo_edge()
 
     def record_leaf() -> None:
         """Make the current leaf, improved by local search, the incumbent."""
-        nonlocal best_loss, best_config, best_assignment, improver
-        best_loss = state.fp_count
-        best_assignment = list(assignment)  # type: ignore[arg-type]
-        improved = None
-        if options.enable_local_search and best_loss > tree.root_bound:
+        nonlocal best_loss, best_positions, improver
+        best_positions, best_loss = state.positions.tolist(), state.fp_count
+        if best_loss > tree.root_bound:
             if improver is None:
                 improver = LeafImprover(state)
-            improved = improver.improve(state.positions.tolist(), best_loss, tree.root_bound)
-        if improved is None:
-            best_config = state.config()
-        else:
-            positions, best_loss = improved
-            best_config = grid.config(positions)
-            # The first classifier covering each level's positive.
-            covering = np.array(positions)[:, None] >= cover_by_level[levels].T
-            for p, j in zip(levels, covering.argmax(axis=0).tolist()):
-                best_assignment[p] = j
+            best_positions, best_loss = improver.improve(best_positions, best_loss,
+                                                         tree.root_bound)
         ms = elapsed_ms()
         stats.incumbent_history.append((ms, best_loss))
         if options.trace is not None:
@@ -364,12 +340,9 @@ def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solut
                 return True
             p = levels[depth]
             covering = state.positions >= cover_by_level[p]
-            j = int(covering.argmax())
-            if not covering[j]:
+            if not covering[covering.argmax()]:
                 stack.append((depth + 1, expand(p)))
                 return True
-            # argmax names the first classifier covering the positive.
-            assignment[p] = j
             depth += 1
 
     improver: LeafImprover | None = None
@@ -386,28 +359,22 @@ def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solut
             within_budget = enter(depth)
 
     stats.wall_time_ms = elapsed_ms()
-    if best_loss is None:
-        # Budget too small even for the first descent: fall back to the
-        # always-feasible all-lowest configuration.
-        config = grid.lowest_config()
-        return Solution(
-            config=config,
-            loss=compute_loss(problem, config),
-            assignment=derive_assignment(problem, config),
-            optimal=False,
-            stats=stats,
-            fallback=True,
-        )
-    assert best_config is not None and best_assignment is not None
-    assert all(a is not None for a in best_assignment)
-    assert best_loss == compute_loss(problem, best_config)
+    # With no incumbent the budget was too small even for the first descent:
+    # fall back to the always-feasible all-lowest configuration.
+    positions = grid.lengths - 1 if best_positions is None else best_positions
+    config = grid.config(positions)
+    loss = compute_loss(problem, config)
+    assert best_loss is None or loss == best_loss
+    assignment: list[int | str] = derive_assignment(problem, config)
+    for p in tree.root_covered:
+        assignment[p] = ROOT_COVERED
     return Solution(
-        config=best_config,
-        loss=best_loss,
-        assignment=best_assignment,
+        config=config,
+        loss=loss,
+        assignment=assignment,
         optimal=within_budget,
         stats=stats,
-        fallback=False,
+        fallback=best_positions is None,
     )
 
 

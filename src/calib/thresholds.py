@@ -56,10 +56,6 @@ class CandidateGrid:
         """Threshold values at one candidate position per classifier."""
         return tuple(self.thresholds[np.arange(len(self)), positions].tolist())
 
-    def lowest_config(self) -> tuple[float, ...]:
-        """The all-lowest configuration, feasible by construction."""
-        return self.config(self.lengths - 1)
-
 
 def extract_candidates(problem: Problem) -> CandidateGrid:
     """Per-classifier candidate thresholds sufficient for global optimality."""

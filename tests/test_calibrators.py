@@ -454,10 +454,10 @@ def test_maps_and_fits_at_the_float_limit_warn_nothing():
     assert margins[0] == 0.0 and margins[-1] == np.inf
     iso = IsotonicParams(breakpoints=[-BIG, BIG], values=[0.0, 1.0])
     assert iso(scores).tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
-    # Squares, gradient and Hessian overflow; the fit stops where it is.
-    a, b = _fit_sigmoid(np.array([7.250000000000002e16, 3.5e-323, 1.0000000000000002e16, BIG]),
-                        np.array([0.75, 0.75, 0.25, 0.25]))
-    assert np.isfinite([a, b]).all()
+    # Squares overflow the Hessian: the fit raises rather than return its start.
+    with pytest.raises(DegenerateVariance, match="Hessian"):
+        _fit_sigmoid(np.array([7.250000000000002e16, 3.5e-323, 1.0000000000000002e16, BIG]),
+                     np.array([0.75, 0.75, 0.25, 0.25]))
 
 
 @pytest.mark.parametrize(

@@ -375,16 +375,19 @@ def test_calibrate_affine_overflowing_moments_exits_2(tmp_path):
 
 
 def test_calibrate_scores_near_the_float_limit_print_no_warning(tmp_path):
-    # Squaring these scores overflows inside the sigmoid fit.
+    # Squaring these scores overflows inside the sigmoid fit, which then
+    # fails with one error line: no warning, no traceback, no model.
     prob = tmp_path / "p.json"
     save_problem(Problem(np.array([[7.250000000000002e+16, 3.5e-323]]),
                          np.array([[1.0000000000000002e+16, 1.7976931348623157e+308]])), prob)
     out = tmp_path / "m.json"
     res = run("calibrate", str(prob), "--method", "independent-sigmoid", "--out", str(out),
               env_log="info")
-    assert res.returncode == 0
+    assert res.returncode == 2
     assert res.stdout == ""
-    assert res.stderr.splitlines() == [f"wrote {out} (independent-sigmoid, E=1)"]
+    assert len(res.stderr.splitlines()) == 1
+    assert "DegenerateVariance: classifier 0" in res.stderr
+    assert not out.exists()
 
 
 def test_calibrate_infinite_cutoff_keeps_every_sample(tmp_path):

@@ -36,7 +36,7 @@ def fp_bits(st):
 def assert_consistent(st):
     """The incremental count matches the bits and a batch recomputation."""
     assert st.fp_count == int(np.bitwise_count(st.fp).sum())
-    assert st.fp_count == compute_loss(st.problem, st.config())
+    assert st.fp_count == compute_loss(st.problem, st.grid.config(st.positions))
 
 
 def covering(st, positive):
@@ -49,7 +49,7 @@ def test_root_state_toy(toy):
     assert st.fp_count == 0
     # sentinels cover nothing in this toy
     assert not any(covering(st, p) for p in range(toy.num_positives))
-    assert st.config() == (7.0, 4.2)
+    assert st.grid.config(st.positions) == (7.0, 4.2)
     assert st.positions.tolist() == [0, 0]
     assert not fp_bits(st).any()
 
@@ -151,11 +151,11 @@ def test_random_walk_apply_undo_round_trip(seed):
         # peek promised exactly what apply delivered
         assert fp - before_fp == inc == newly_bits.sum()
         assert np.array_equal(fp_bits(st) & ~before_neg, newly_bits)
-        assert fp == compute_loss(prob, st.config())
+        assert fp == compute_loss(prob, st.grid.config(st.positions))
         # newly is the edge's row minus what was already covered
         row = prob.negative_scores[j] > st.grid.thresholds[j, target]
         assert np.array_equal(newly_bits, row & ~before_neg)
-        theta = np.array(st.config())[:, None]
+        theta = np.array(st.grid.config(st.positions))[:, None]
         covered = (prob.positive_scores > theta).any(axis=0).tolist()
         assert [bool(covering(st, p)) for p in range(prob.num_positives)] == covered
         steps += 1

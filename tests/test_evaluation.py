@@ -9,7 +9,6 @@ from calib import (
     DimensionMismatch,
     GenerateSpec,
     Problem,
-    SearchOptions,
     ValidationError,
     average_precision,
     compare_methods,
@@ -186,10 +185,7 @@ def test_compare_methods_report_is_pinned_at_e30():
     train, test = generate(spec)
     methods = ["joint-thresholds", "joint-sigmoid", "independent-sigmoid",
                "isotonic", "affine"]
-    # The paper's plain depth-first search; local search may settle on
-    # another of this instance's optimal configurations.
-    plain = solve_exact(train, SearchOptions(enable_local_search=False))
-    report = compare_methods(train, test, methods, plain)
+    report = compare_methods(train, test, methods, solve_exact(train))
     assert report.reference_recall == 0.7333333333333333
     expected = {
         "joint-thresholds": (0.7333333333333333, 417, 0.0, 0.3304238793987605),

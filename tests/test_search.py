@@ -11,6 +11,7 @@ from calib import (
     SearchOptions,
     check_feasible,
     compute_loss,
+    derive_assignment,
     extract_candidates,
     generate,
     oracle_solve,
@@ -82,26 +83,12 @@ def test_exact_matches_oracle(seed):
     assert sol.loss == oracle_solve(prob).loss
 
 
-ABLATIONS = [
-    SearchOptions(enable_prune_bound=False),
-    SearchOptions(enable_prune_equivalence=False),
-    SearchOptions(enable_depth_reduction=False),
-    SearchOptions(enable_difficulty_order=False),
-    SearchOptions(
-        enable_prune_bound=False,
-        enable_prune_equivalence=False,
-        enable_depth_reduction=False,
-        enable_difficulty_order=False,
-    ),
-]
-
-
 @pytest.mark.parametrize("seed", range(10))
 def test_ablations_preserve_optimum(seed):
     prob = small_problem(seed)
     reference = solve_exact(prob).loss
-    for opts in ABLATIONS:
-        assert solve_exact(prob, opts).loss == reference
+    for flags in search.ABLATIONS.values():
+        assert solve_exact(prob, SearchOptions(**flags)).loss == reference
 
 
 def test_assignment_points_at_covering_classifier():
@@ -118,32 +105,18 @@ def test_assignment_points_at_covering_classifier():
                 assert s[a] > theta[a]
 
 
-PLAIN_DFS = {"enable_local_search": False}
-
-
-def test_node_budget_one_returns_first_descent_leaf():
-    prob = small_problem(5)  # first-descent leaf is strictly suboptimal here
-    exact = solve_exact(prob)
-    trunc = solve_anytime(prob, SearchOptions(node_budget=1, **PLAIN_DFS))
+def test_node_budget_one_improves_first_descent_leaf():
+    prob = small_problem(5)  # first-descent leaf (loss 9) is strictly suboptimal here
+    trunc = solve_anytime(prob, SearchOptions(node_budget=1))
+    # Local search improves the leaf to the optimum, reached but not proven.
+    assert trunc.loss == solve_exact(prob).loss == 8
     assert not trunc.optimal and not trunc.fallback
-    assert trunc.loss == 9 and exact.loss == 8
     assert check_feasible(prob, trunc.config)
+    assert trunc.loss == compute_loss(prob, trunc.config)
     # descent nodes + leaf + the single interrupted node after the budget
     assert trunc.stats.nodes_visited == trunc.stats.levels + 2
-    assert len(trunc.stats.incumbent_history) == 1
-
-
-def test_node_budget_one_improves_first_descent_leaf():
-    prob = small_problem(5)
-    plain = solve_anytime(prob, SearchOptions(node_budget=1, **PLAIN_DFS))
-    improved = solve_anytime(prob, SearchOptions(node_budget=1))
-    assert improved.loss == 8  # 9 improved to the optimum, reached but not proven
-    assert not improved.optimal and not improved.fallback
-    assert check_feasible(prob, improved.config)
-    assert improved.loss == compute_loss(prob, improved.config)
-    # The same first descent, one incumbent, the improved loss recorded.
-    assert improved.stats.nodes_visited == plain.stats.nodes_visited
-    assert [loss for _, loss in improved.stats.incumbent_history] == [8]
+    # One incumbent, recorded with its improved loss.
+    assert [loss for _, loss in trunc.stats.incumbent_history] == [8]
 
 
 def test_node_budget_monotone():
@@ -161,9 +134,10 @@ def test_local_search_keeps_oracle_equality(name):
     for seed in range(300):
         prob = small_problem(seed)
         ref = oracle_solve(prob).loss
+        flags = search.ABLATIONS[name]
+        root_covered = plan_tree(root_state(prob), SearchOptions(**flags)).root_covered
         for budget in (None, 1, 3, 10):
-            opts = SearchOptions(random_order_seed=seed, node_budget=budget,
-                                 **search.ABLATIONS[name])
+            opts = SearchOptions(random_order_seed=seed, node_budget=budget, **flags)
             sol = solve_exact(prob, opts)
             case = f"seed {seed} budget {budget}"
             assert check_feasible(prob, sol.config), case
@@ -174,8 +148,11 @@ def test_local_search_keeps_oracle_equality(name):
             losses = [loss for _, loss in sol.stats.incumbent_history]
             assert all(b < a for a, b in zip(losses, losses[1:])), case
             assert losses[-1] == sol.loss, case
-            for p, a in enumerate(sol.assignment):
-                assert a == ROOT_COVERED or prob.positive_scores[a, p] > sol.config[a], case
+            # The smallest covering classifier, or the root-covered marker.
+            expected = derive_assignment(prob, sol.config)
+            for p in root_covered:
+                expected[p] = ROOT_COVERED
+            assert sol.assignment == expected, case
 
 
 def test_every_improved_incumbent_is_feasible(monkeypatch):
@@ -184,7 +161,7 @@ def test_every_improved_incumbent_is_feasible(monkeypatch):
 
     def recorded(self, positions, loss, bound):
         result = improve(self, positions, loss, bound)
-        calls.append((loss, bound, result))
+        calls.append((positions, loss, bound, result))
         return result
 
     monkeypatch.setattr(search.LeafImprover, "improve", recorded)
@@ -195,13 +172,14 @@ def test_every_improved_incumbent_is_feasible(monkeypatch):
         calls.clear()
         sol = solve_exact(prob)
         history = [loss for _, loss in sol.stats.incumbent_history]
-        for loss, bound, result in calls:
+        for leaf, loss, bound, (positions, new_loss) in calls:
             # A leaf already at the root bound is not searched.
             assert loss > bound, f"seed {seed}"
-            if result is None:
+            if new_loss == loss:
+                # Not improved: the leaf comes back as given.
+                assert positions == leaf, f"seed {seed}"
                 continue
             improved += 1
-            positions, new_loss = result
             config = grid.config(positions)
             assert bound <= new_loss < loss, f"seed {seed}"
             assert check_feasible(prob, config), f"seed {seed}"
@@ -218,6 +196,18 @@ def test_wall_budget_expiry_falls_back_to_lowest(toy):
     assert sol.config == (1.25, -0.25)  # all-lowest candidates
     assert sol.stats.incumbent_history == []
     assert sol.assignment == [0, 0]
+    # The fallback marks positives covered at the root, as every solution does.
+    prob = small_problem(3)
+    sol = solve_anytime(prob, SearchOptions(budget_ms=1e-7))
+    grid = extract_candidates(prob)
+    assert sol.fallback and not sol.optimal
+    assert sol.config == grid.config(grid.lengths - 1)
+    assert sol.loss == compute_loss(prob, sol.config)
+    root_covered = plan_tree(root_state(prob), SearchOptions()).root_covered
+    assert len(root_covered) == 1
+    expected = derive_assignment(prob, sol.config)
+    expected[root_covered[0]] = ROOT_COVERED
+    assert sol.assignment == expected
 
 
 def test_incumbent_history_strictly_decreasing():
@@ -264,20 +254,10 @@ def test_options_validation():
 
 # Golden totals over small_problem(0..199) of [nodes_visited,
 # nodes_pruned_bound, nodes_pruned_equivalence, positives_removed_by_root]
-# per named ablation, for the paper's plain depth-first search.  Losses
-# alone cannot see a change in child order, pruning or depth reduction;
-# these totals do.
-TRAVERSAL_TOTALS = {
-    "all-on": [700, 713, 10, 469],
-    "no-bound": [3369, 0, 80, 469],
-    "no-equivalence": [700, 723, 0, 469],
-    "no-depth-reduction": [1193, 713, 10, 0],
-    "random-order": [846, 1112, 16, 469],
-    "all-off": [6156, 0, 0, 0],
-}
-
-# The same totals with local search on.  Without the bound nothing prunes
-# against the incumbent, so those rows equal the plain search's.
+# per named ablation.  Losses alone cannot see a change in child order,
+# pruning, depth reduction or local search; these totals do.  Without the
+# bound nothing prunes against the incumbent, so local search leaves those
+# rows as the paper's plain depth-first search has them.
 TRAVERSAL_TOTALS_LOCAL_SEARCH = {
     "all-on": [670, 718, 10, 469],
     "no-bound": [3369, 0, 80, 469],
@@ -288,21 +268,16 @@ TRAVERSAL_TOTALS_LOCAL_SEARCH = {
 }
 
 
-def traversal_totals(**options):
+def traversal_totals():
     totals = {name: [0, 0, 0, 0] for name in search.ABLATIONS}
     for seed in range(200):
         prob = small_problem(seed)
         for name, flags in search.ABLATIONS.items():
-            opts = SearchOptions(random_order_seed=seed, **flags, **options)
-            st = solve_exact(prob, opts).stats
+            st = solve_exact(prob, SearchOptions(random_order_seed=seed, **flags)).stats
             counts = [st.nodes_visited, st.nodes_pruned_bound,
                       st.nodes_pruned_equivalence, st.positives_removed_by_root]
             totals[name] = [a + b for a, b in zip(totals[name], counts)]
     return totals
-
-
-def test_traversal_counts_pinned():
-    assert traversal_totals(**PLAIN_DFS) == TRAVERSAL_TOTALS
 
 
 def test_traversal_counts_pinned_with_local_search():
@@ -310,19 +285,10 @@ def test_traversal_counts_pinned_with_local_search():
 
 
 # Golden totals over tie_heavy_problem(0..199) of [nodes_visited,
-# nodes_pruned_bound, nodes_pruned_equivalence] per named ablation, for
-# the plain depth-first search.  Runs of three or more tied increments
-# occur here with all-equal, all-distinct and mixed sets, so these pin
-# equivalence pruning where TRAVERSAL_TOTALS sees few ties.
-TIE_TOTALS = {
-    "all-on": [1016, 732, 527],
-    "no-bound": [3941, 0, 1040],
-    "no-equivalence": [1059, 1367, 0],
-    "no-depth-reduction": [1143, 732, 527],
-    "random-order": [1295, 1181, 922],
-    "all-off": [14326, 0, 0],
-}
-
+# nodes_pruned_bound, nodes_pruned_equivalence] per named ablation.  Runs
+# of three or more tied increments occur here with all-equal, all-distinct
+# and mixed sets, so these pin equivalence pruning where
+# TRAVERSAL_TOTALS_LOCAL_SEARCH sees few ties.
 TIE_TOTALS_LOCAL_SEARCH = {
     "all-on": [982, 739, 520],
     "no-bound": [3941, 0, 1040],
@@ -333,21 +299,17 @@ TIE_TOTALS_LOCAL_SEARCH = {
 }
 
 
-def tie_totals(**options):
+def tie_totals():
     totals = {name: [0, 0, 0] for name in search.ABLATIONS}
     for seed in range(200):
         prob = tie_heavy_problem(seed)
         for name, flags in search.ABLATIONS.items():
-            sol = solve_exact(prob, SearchOptions(random_order_seed=seed, **flags, **options))
+            sol = solve_exact(prob, SearchOptions(random_order_seed=seed, **flags))
             assert sol.loss == oracle_solve(prob).loss
             st = sol.stats
             counts = [st.nodes_visited, st.nodes_pruned_bound, st.nodes_pruned_equivalence]
             totals[name] = [a + b for a, b in zip(totals[name], counts)]
     return totals
-
-
-def test_tied_increment_counts_pinned():
-    assert tie_totals(**PLAIN_DFS) == TIE_TOTALS
 
 
 def test_tied_increment_counts_pinned_with_local_search():

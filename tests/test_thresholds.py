@@ -62,7 +62,7 @@ def test_toy_candidates_frozen(toy):
     assert cands.thresholds.tolist() == [list(e0), list(e1)]
     assert cands.lengths.tolist() == [3, 3]
     assert cands.config([0, 1]) == (7.0, 2.75)
-    assert cands.lowest_config() == (1.25, -0.25)
+    assert cands.config(cands.lengths - 1) == (1.25, -0.25)
 
 
 def test_root_config_free_cover(toy_free):
