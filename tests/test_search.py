@@ -105,17 +105,24 @@ def test_assignment_points_at_covering_classifier():
                 assert s[a] > theta[a]
 
 
+def test_node_budget_one_returns_first_descent_leaf():
+    prob = small_problem(5)
+    trunc = solve_anytime(prob, SearchOptions(node_budget=1))
+    assert not trunc.optimal and not trunc.fallback
+    assert check_feasible(prob, trunc.config)
+    # descent nodes + leaf + the single interrupted node after the budget
+    assert trunc.stats.nodes_visited == trunc.stats.levels + 2
+    assert len(trunc.stats.incumbent_history) == 1
+
+
 def test_node_budget_one_improves_first_descent_leaf():
     prob = small_problem(5)  # first-descent leaf (loss 9) is strictly suboptimal here
     trunc = solve_anytime(prob, SearchOptions(node_budget=1))
     # Local search improves the leaf to the optimum, reached but not proven.
     assert trunc.loss == solve_exact(prob).loss == 8
-    assert not trunc.optimal and not trunc.fallback
-    assert check_feasible(prob, trunc.config)
+    assert not trunc.optimal
     assert trunc.loss == compute_loss(prob, trunc.config)
-    # descent nodes + leaf + the single interrupted node after the budget
-    assert trunc.stats.nodes_visited == trunc.stats.levels + 2
-    # One incumbent, recorded with its improved loss.
+    # The one incumbent is recorded with its improved loss.
     assert [loss for _, loss in trunc.stats.incumbent_history] == [8]
 
 
