@@ -68,7 +68,6 @@ from .problem import (
 )
 from .search import (
     SearchOptions,
-    SearchTreeSpec,
     difficulty_order,
     plan_tree,
     redundant_classifiers,

@@ -210,9 +210,8 @@ def _cmd_solve(args) -> int:
         )
     except ValueError as e:
         raise InvalidSpec(str(e)) from e
-    # Both names are the same search (see search.solve_anytime).
-    solver = solve_exact if args.mode == "exact" else solve_anytime
-    solution = solver(problem, options)
+    # --mode changes nothing: a budget is what makes a run anytime.
+    solution = solve_anytime(problem, options)
     save_solution(solution, args.out)
     log.info(
         "loss=%d optimal=%s nodes=%d pruned_bound=%d pruned_equiv=%d "
@@ -380,6 +379,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INVALID
     except OSError as e:
         print(f"calib {args.verb}: {e}", file=sys.stderr)
+        return EXIT_INVALID
+    except MemoryError as e:
+        print(f"calib {args.verb}: out of memory: {e}", file=sys.stderr)
         return EXIT_INVALID
 
 

@@ -37,8 +37,6 @@ class CoverState:
     def __init__(self, problem: Problem, grid: CandidateGrid):
         if len(grid) != problem.num_classifiers:
             raise ValueError("candidate grid does not match problem")
-        self.problem = problem
-        self.grid = grid
         self.rows = packed_above(problem.negative_scores, grid.thresholds)
         # Earliest candidate strictly below each positive's score: the count of
         # candidates at or above it.  Negated rows ascend; +inf padding counts for none.

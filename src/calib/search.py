@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -34,8 +34,6 @@ from .problem import (
 from .thresholds import extract_candidates
 
 TraceFn = Callable[[float, int, int], None]
-
-_EXHAUSTED = object()  # next() default: a node iterator has no child left
 
 PRUNING_FLAGS = (
     "enable_prune_bound",
@@ -84,16 +82,6 @@ class SearchOptions:
             raise ValueError("node_budget must be positive")
 
 
-@dataclass
-class SearchTreeSpec:
-    """Shape of the search tree after depth reduction and level ordering."""
-
-    level_positives: list[int]
-    root_covered: list[int] = field(default_factory=list)
-    # max(difficulty): no leaf can lose fewer negatives.
-    root_bound: int = 0
-
-
 def difficulty_order(state: CoverState) -> tuple[np.ndarray, list[int]]:
     """Per-positive difficulty and the positives sorted hardest first.
 
@@ -107,12 +95,14 @@ def difficulty_order(state: CoverState) -> tuple[np.ndarray, list[int]]:
     return difficulty, np.argsort(-difficulty, kind="stable").tolist()
 
 
-def plan_tree(state: CoverState, options: SearchOptions) -> SearchTreeSpec:
-    """Fix the level order up front; the tree itself is traversed lazily.
+def plan_tree(state: CoverState, options: SearchOptions) -> tuple[list[int], list[int], int]:
+    """The level positives in search order, the root-covered positives and
+    the root bound; the tree itself is traversed lazily.
 
     Depth reduction drops the positives of difficulty 0: some classifier's
     tightest candidate, which concedes no negative, already covers them, so
-    they stay covered under every descendant configuration.
+    they stay covered under every descendant configuration.  The root bound
+    is the largest difficulty: no leaf can lose fewer negatives.
     """
     levels = list(range(state.cover_position.shape[1]))
     covered: list[int] = []
@@ -124,8 +114,7 @@ def plan_tree(state: CoverState, options: SearchOptions) -> SearchTreeSpec:
         levels = [p for p in levels if difficulty[p] > 0]
     if not options.enable_difficulty_order and options.random_order_seed is not None:
         random.Random(options.random_order_seed).shuffle(levels)
-    return SearchTreeSpec(level_positives=levels, root_covered=covered,
-                          root_bound=int(difficulty.max(initial=0)))
+    return levels, covered, int(difficulty.max(initial=0))
 
 
 LOCAL_SEARCH_ROUNDS = 5
@@ -236,15 +225,14 @@ def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solut
     t0 = time.perf_counter()
     grid = extract_candidates(problem)
     state = CoverState(problem, grid)
-    tree = plan_tree(state, options)
-    levels = tree.level_positives
+    levels, root_covered, root_bound = plan_tree(state, options)
     h = len(levels)
     classifiers = np.arange(problem.num_classifiers)
     # Row p holds every classifier's cover position of positive p, contiguous.
     cover_by_level = np.ascontiguousarray(state.cover_position.T)
 
     stats = SearchStats(levels=h)
-    stats.positives_removed_by_root = len(tree.root_covered)
+    stats.positives_removed_by_root = len(root_covered)
 
     best_loss: int | None = None
     best_positions: list[int] | None = None
@@ -290,34 +278,15 @@ def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solut
                 order, incs = np.delete(order, dropped), np.delete(incs, dropped)
         return incs.tolist(), order.tolist(), targets[order].tolist()
 
-    def expand(p: int) -> Iterator[None]:
-        """Yield once per child entered, with the child's edge applied."""
-        # Planned in full before any child is entered, so a budget firing below
-        # still counts every equivalence prune.
-        incs, js, targets = plan_children(p)
-        for k, inc in enumerate(incs):
-            if (
-                options.enable_prune_bound
-                and best_loss is not None
-                and state.fp_count + inc >= best_loss
-            ):
-                # Children come in ascending inc and best_loss only falls,
-                # so every later sibling fails the bound too.
-                stats.nodes_pruned_bound += len(incs) - k
-                return
-            state.apply_edge(js[k], targets[k])
-            yield
-            state.undo_edge()
-
     def record_leaf() -> None:
         """Make the current leaf, improved by local search, the incumbent."""
         nonlocal best_loss, best_positions, improver
         best_positions, best_loss = state.positions.tolist(), state.fp_count
-        if best_loss > tree.root_bound:
+        if best_loss > root_bound:
             if improver is None:
                 improver = LeafImprover(state)
             best_positions, best_loss = improver.improve(best_positions, best_loss,
-                                                         tree.root_bound)
+                                                         root_bound)
         ms = elapsed_ms()
         stats.incumbent_history.append((ms, best_loss))
         if options.trace is not None:
@@ -327,8 +296,9 @@ def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solut
         """Visit a node and the pass-through nodes below it; False once a budget has fired.
 
         A pass-through node's positive is already covered, so its one child
-        is visited in this loop.  A node with children to plan leaves their
-        iterator on the stack.
+        is visited in this loop.  A node with children pushes their frame,
+        planned in full, so a budget firing below still counts every
+        equivalence prune.
         """
         while True:
             stats.nodes_visited += 1
@@ -341,21 +311,33 @@ def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solut
             p = levels[depth]
             covering = state.positions >= cover_by_level[p]
             if not covering[covering.argmax()]:
-                stack.append((depth + 1, expand(p)))
+                stack.append([depth + 1, 0, *plan_children(p)])
                 return True
             depth += 1
 
     improver: LeafImprover | None = None
-    # Depth-first: the top iterator either enters its next child, at the
-    # depth it was pushed with, or is exhausted and popped.  The stack is
-    # explicit, so tree depth is not bounded by Python's recursion limit.
-    stack: list[tuple[int, Iterator[None]]] = []
+    prune_bound = options.enable_prune_bound
+    # Depth-first over frames [child depth, next child k, increments,
+    # classifiers, targets]: the top frame undoes child k - 1's edge, then
+    # enters child k or is popped.  The stack is explicit, so tree depth is
+    # not bounded by Python's recursion limit.
+    stack: list[list] = []
     within_budget = enter(0)
     while within_budget and stack:
-        depth, children = stack[-1]
-        if next(children, _EXHAUSTED) is _EXHAUSTED:
+        frame = stack[-1]
+        depth, k, incs, js, targets = frame
+        if k:
+            state.undo_edge()
+        if k == len(incs):
+            stack.pop()
+        elif prune_bound and best_loss is not None and state.fp_count + incs[k] >= best_loss:
+            # Children come in ascending inc and best_loss only falls,
+            # so every later sibling fails the bound too.
+            stats.nodes_pruned_bound += len(incs) - k
             stack.pop()
         else:
+            state.apply_edge(js[k], targets[k])
+            frame[1] = k + 1
             within_budget = enter(depth)
 
     stats.wall_time_ms = elapsed_ms()
@@ -366,7 +348,7 @@ def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solut
     loss = compute_loss(problem, config)
     assert best_loss is None or loss == best_loss
     assignment: list[int | str] = derive_assignment(problem, config)
-    for p in tree.root_covered:
+    for p in root_covered:
         assignment[p] = ROOT_COVERED
     return Solution(
         config=config,

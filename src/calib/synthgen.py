@@ -50,6 +50,8 @@ _U64 = np.uint64(2**64 - 1)
 
 # Counter positions drawn per block; caps each draw's temporaries.
 _BLOCK_DRAWS = 1 << 15
+# The most float64s one numpy array can hold: its byte size must fit an intp.
+_MAX_FLOAT64S = np.iinfo(np.intp).max // 8
 
 
 class CounterRng:
@@ -158,6 +160,16 @@ class GenerateSpec:
             raise InvalidSpec("hardness_scale must be positive")
         if self.hardness_fraction > 0 and self.num_classifiers < 2:
             raise InvalidSpec("planting hardness needs at least 2 classifiers")
+        try:
+            samples = (self.num_positives + self.test_count(self.num_positives)
+                       + self.num_negatives + self.test_count(self.num_negatives))
+        except OverflowError:
+            raise InvalidSpec(f"split_fraction {self.split_fraction!r} makes the "
+                              "held-out counts infinite") from None
+        # generate() holds an E x M array of scores and an M x d one of samples.
+        if samples * max(self.num_classifiers, self.dimensions) > _MAX_FLOAT64S:
+            raise InvalidSpec("the train and held-out problems hold too many samples "
+                              "for one float64 array")
 
     def test_count(self, train_count: int) -> int:
         f = self.split_fraction

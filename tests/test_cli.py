@@ -92,6 +92,31 @@ def test_generate_to_directory_exits_2(tmp_path):
     assert [p.name for p in tmp_path.rglob("*")] == ["dir"]
 
 
+SMALL_ARGS = ["--seed", "1", "--classifiers", "2", "--positives", "2", "--negatives", "3"]
+
+
+@pytest.mark.parametrize("split", ["5e-324", "1e-300"])
+def test_generate_split_too_small_for_an_array_exits_2(tmp_path, split):
+    res = run("generate", *SMALL_ARGS, "--split", split, "--out", str(tmp_path / "p.json"))
+    assert res.returncode == 2
+    assert res.stderr.count("\n") == 1 and "InvalidSpec" in res.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_generate_out_of_memory_exits_2(tmp_path, monkeypatch, capsys):
+    # --split 1e-12 asks for 14.6 TiB; a stand-in raises as numpy would.
+    def generate(spec):
+        raise MemoryError("Unable to allocate 14.6 TiB for an array")
+
+    monkeypatch.setattr(cli, "generate", generate)
+    code = cli.main(["generate", *SMALL_ARGS, "--split", "1e-12",
+                     "--out", str(tmp_path / "p.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "calib generate: out of memory: Unable to allocate 14.6 TiB for an array\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_generate_writes_test_split(tmp_path):
     out, test_out = tmp_path / "train.json", tmp_path / "test.json"
     res = run("generate", *GOLDEN_ARGS, "--test-out", str(test_out), "--out", str(out))

@@ -20,8 +20,16 @@ from calib import (
 from conftest import candidates, small_problem, tie_heavy_problem
 
 
+class State(CoverState):
+    """A CoverState that keeps its problem and grid beside it for the checks below."""
+
+    def __init__(self, problem):
+        self.problem, self.grid = problem, extract_candidates(problem)
+        super().__init__(self.problem, self.grid)
+
+
 def make_state(problem):
-    return CoverState(problem, extract_candidates(problem))
+    return State(problem)
 
 
 def bits(packed, n):

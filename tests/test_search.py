@@ -55,22 +55,23 @@ def root_state(problem):
 
 def test_reduce_depth(toy, toy_free):
     # toy_free: the tightest candidates (4.25, 2.65) already cover both
-    spec = plan_tree(root_state(toy_free), SearchOptions())
-    assert spec.level_positives == [] and spec.root_covered == [0, 1]
-    spec = plan_tree(root_state(toy), SearchOptions())
-    assert spec.level_positives == [0, 1] and spec.root_covered == []
-    spec = plan_tree(root_state(toy_free), SearchOptions(enable_depth_reduction=False))
-    assert spec.level_positives == [0, 1] and spec.root_covered == []
+    levels, root_covered, _ = plan_tree(root_state(toy_free), SearchOptions())
+    assert levels == [] and root_covered == [0, 1]
+    levels, root_covered, _ = plan_tree(root_state(toy), SearchOptions())
+    assert levels == [0, 1] and root_covered == []
+    levels, root_covered, _ = plan_tree(root_state(toy_free),
+                                        SearchOptions(enable_depth_reduction=False))
+    assert levels == [0, 1] and root_covered == []
 
 
 def test_plan_tree_orderings(toy):
-    spec = plan_tree(root_state(toy), SearchOptions())
-    assert spec.level_positives == [0, 1]
-    shuffled = plan_tree(
+    levels, _, _ = plan_tree(root_state(toy), SearchOptions())
+    assert levels == [0, 1]
+    shuffled, _, _ = plan_tree(
         root_state(toy),
         SearchOptions(enable_difficulty_order=False, random_order_seed=3),
     )
-    assert sorted(shuffled.level_positives) == [0, 1]
+    assert sorted(shuffled) == [0, 1]
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -142,7 +143,7 @@ def test_local_search_keeps_oracle_equality(name):
         prob = small_problem(seed)
         ref = oracle_solve(prob).loss
         flags = search.ABLATIONS[name]
-        root_covered = plan_tree(root_state(prob), SearchOptions(**flags)).root_covered
+        _, root_covered, _ = plan_tree(root_state(prob), SearchOptions(**flags))
         for budget in (None, 1, 3, 10):
             opts = SearchOptions(random_order_seed=seed, node_budget=budget, **flags)
             sol = solve_exact(prob, opts)
@@ -210,7 +211,7 @@ def test_wall_budget_expiry_falls_back_to_lowest(toy):
     assert sol.fallback and not sol.optimal
     assert sol.config == grid.config(grid.lengths - 1)
     assert sol.loss == compute_loss(prob, sol.config)
-    root_covered = plan_tree(root_state(prob), SearchOptions()).root_covered
+    _, root_covered, _ = plan_tree(root_state(prob), SearchOptions())
     assert len(root_covered) == 1
     expected = derive_assignment(prob, sol.config)
     expected[root_covered[0]] = ROOT_COVERED
@@ -275,12 +276,13 @@ TRAVERSAL_TOTALS_LOCAL_SEARCH = {
 }
 
 
-def traversal_totals():
+def traversal_totals(node_budget=None):
     totals = {name: [0, 0, 0, 0] for name in search.ABLATIONS}
     for seed in range(200):
         prob = small_problem(seed)
         for name, flags in search.ABLATIONS.items():
-            st = solve_exact(prob, SearchOptions(random_order_seed=seed, **flags)).stats
+            opts = SearchOptions(random_order_seed=seed, node_budget=node_budget, **flags)
+            st = solve_exact(prob, opts).stats
             counts = [st.nodes_visited, st.nodes_pruned_bound,
                       st.nodes_pruned_equivalence, st.positives_removed_by_root]
             totals[name] = [a + b for a, b in zip(totals[name], counts)]
@@ -289,6 +291,24 @@ def traversal_totals():
 
 def test_traversal_counts_pinned_with_local_search():
     assert traversal_totals() == TRAVERSAL_TOTALS_LOCAL_SEARCH
+
+
+# The same totals at node budget 10, which cuts many runs short.  They pin
+# the counters of budget-truncated runs, including the equivalence prunes of
+# a frame planned in full just before the budget fires.  Budgets 1 and 3
+# give equal totals, so pinning them adds nothing.
+TRAVERSAL_TOTALS_NODE_BUDGET_10 = {
+    "all-on": [665, 710, 10, 469],
+    "no-bound": [1357, 0, 17, 469],
+    "no-equivalence": [665, 720, 0, 469],
+    "no-depth-reduction": [1135, 688, 10, 0],
+    "random-order": [741, 973, 10, 469],
+    "all-off": [1725, 0, 0, 0],
+}
+
+
+def test_traversal_counts_pinned_at_node_budget_10():
+    assert traversal_totals(node_budget=10) == TRAVERSAL_TOTALS_NODE_BUDGET_10
 
 
 # Golden totals over tie_heavy_problem(0..199) of [nodes_visited,

@@ -167,3 +167,14 @@ def test_spec_validation():
     with pytest.raises(InvalidSpec):
         # a split this lopsided leaves no test positives
         generate(replace(BASE, num_positives=1, split_fraction=0.99))
+
+
+@pytest.mark.parametrize("bad", [
+    {"split_fraction": 5e-324},  # the held-out counts overflow to infinity
+    {"split_fraction": 1e-300},  # finite, but past numpy's largest array
+    {"dimensions": 2**61},  # the samples array, not the scores, is too large
+])
+def test_spec_too_large_for_an_array_is_invalid(bad):
+    small = replace(BASE, seed=1, num_classifiers=2, num_positives=2, num_negatives=3)
+    with pytest.raises(InvalidSpec):
+        replace(small, **bad)

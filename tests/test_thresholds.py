@@ -181,10 +181,11 @@ def test_difficulty_and_cost_match_brute_force_on_ties(data):
     N = data.draw(st.integers(0, 5))
     draw = lambda n: [[float(data.draw(st.integers(0, 4))) for _ in range(n)] for _ in range(E)]
     prob = Problem(np.array(draw(P)), np.array(draw(N)).reshape(E, N))
-    state = CoverState(prob, extract_candidates(prob))
+    grid = extract_candidates(prob)
+    state = CoverState(prob, grid)
     assert difficulty_order(state)[0].tolist() == brute_difficulty(prob)
     for j in range(E):
-        for t, theta in enumerate(candidates(state.grid, j)):
+        for t, theta in enumerate(candidates(grid, j)):
             assert state.cost[j, t] == (prob.negative_scores[j] > theta).sum()
 
 
