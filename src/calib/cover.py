@@ -2,19 +2,23 @@
 
 A CoverState holds the false positives (negatives some classifier currently
 scores above its threshold) as a packed bitset ``fp``: one bit per negative,
-little-endian in ceil(N/64) uint64 words.  ``rows[j, t]`` packs the
-negatives scoring strictly above classifier j's candidate t, the rule
-``compute_loss`` uses, in E x (max candidates) x ceil(N/64) x 8 bytes,
-packed by ``thresholds.packed_above`` as the oracle's masks are.  An edge
-to candidate t newly covers ``rows[j, t] & ~fp``, so one vectorized call
-prices every child of a node, and equal sets are byte-equal.
-``cost[j, t]`` counts the negatives in ``rows[j, t]``.
+little-endian in ceil(N/64) uint64 words.  The search lowers a classifier
+only ever just enough to cover one live positive (one no classifier covers
+at the root), so rows are packed for those edges alone: ``rows[j, d]``,
+d >= 1, packs the negatives scoring strictly above the candidate at
+``row_position[j, d]``, classifier j's cover position of live positive
+``live[d - 1]``, under the rule ``compute_loss`` uses; ``rows[j, 0]`` is the
+empty row of the tightest candidate, position 0.  That is E x (L + 1) x
+ceil(N/64) x 8 bytes for L live positives, packed by
+``thresholds.packed_above`` as the oracle's masks are.  An edge to row d
+newly covers ``rows[j, d] & ~fp``, so one vectorized call prices every
+child of a node, and equal sets are byte-equal.
 
 Positives need no bits: positive p is covered once some classifier j has
 reached ``cover_position[j, p]``, its first candidate strictly below p's
 score, so coverage is read off the current positions.  At the root,
-covering p through classifier j concedes ``cost[j, cover_position[j, p]]``
-negatives.
+covering p through classifier j concedes ``cost[j, p]`` negatives, the
+candidate's count in ``CandidateGrid.conceded``.
 """
 
 from __future__ import annotations
@@ -37,16 +41,20 @@ class CoverState:
     def __init__(self, problem: Problem, grid: CandidateGrid):
         if len(grid) != problem.num_classifiers:
             raise ValueError("candidate grid does not match problem")
-        self.rows = packed_above(problem.negative_scores, grid.thresholds)
         # Earliest candidate strictly below each positive's score: the count of
         # candidates at or above it.  Negated rows ascend; +inf padding counts for none.
         self.cover_position = np.array([
             row.searchsorted(scores, side="right")
             for row, scores in zip(-grid.thresholds, -problem.positive_scores)])
-        self.cost = np.bitwise_count(self.rows).sum(-1, dtype=np.int64)
         reached = self.cover_position < grid.lengths[:, None]
         assert reached.all(), "positive with no candidate below it"
-        assert not self.cost[:, 0].any(), "tightest candidate must cost nothing"
+        classifiers = np.arange(len(grid))[:, None]
+        self.cost = grid.conceded[classifiers, self.cover_position]
+        self.live = np.flatnonzero(self.cover_position.min(axis=0) > 0)
+        self.row_position = np.zeros((len(grid), len(self.live) + 1), dtype=np.intp)
+        self.row_position[:, 1:] = self.cover_position[:, self.live]
+        self.rows = packed_above(problem.negative_scores,
+                                 grid.thresholds[classifiers, self.row_position])
 
         self.positions = np.zeros(len(grid), dtype=np.intp)
         self.fp = np.zeros(self.rows.shape[2], dtype=np.uint64)
@@ -54,30 +62,32 @@ class CoverState:
         # (classifier, old position, previous fp, previous fp_count)
         self.journal: list[tuple[int, int, np.ndarray, int]] = []
 
-    def peek_edge(self, classifier, target) -> tuple[np.ndarray, np.ndarray]:
+    def peek_edge(self, classifier, row) -> tuple[np.ndarray, np.ndarray]:
         """Loss increase and newly covered negatives of edges, unapplied.
 
-        Takes one classifier and target, or equal-length arrays of them and
-        then returns one loss increase and one packed row per edge.
+        Takes one classifier and row, or equal-length arrays of them (or a
+        slice of classifiers and one row) and then returns one loss increase
+        and one packed row per edge.
         """
         cur = self.positions[classifier]
+        target = self.row_position[classifier, row]
         if (target < cur).any():
             raise MonotonicityViolation(
                 f"classifier {classifier}: target position {target} is tighter "
                 f"than current {cur}"
             )
-        newly = self.rows[classifier, target] & ~self.fp
+        newly = self.rows[classifier, row] & ~self.fp
         return np.bitwise_count(newly).sum(-1), newly
 
-    def apply_edge(self, classifier: int, target: int) -> int:
-        """Lower one classifier's threshold to a candidate position.
+    def apply_edge(self, classifier: int, row: int) -> int:
+        """Lower one classifier's threshold to the candidate of one of its rows.
 
         Returns the new total false-positive count.  Raises
-        MonotonicityViolation if the target is tighter than the current
-        position; a no-op edge (target == current) is journaled like any
-        other.
+        MonotonicityViolation if that candidate is tighter than the current
+        position; a no-op edge (same position) is journaled like any other.
         """
         old = self.positions.item(classifier)
+        target = self.row_position.item(classifier, row)
         if target < old:
             raise MonotonicityViolation(
                 f"classifier {classifier}: target position {target} is tighter "
@@ -85,7 +95,7 @@ class CoverState:
             )
         # A new array each time, so the journal keeps the previous one as is.
         self.journal.append((classifier, old, self.fp, self.fp_count))
-        self.fp = self.fp | self.rows[classifier, target]
+        self.fp = self.fp | self.rows[classifier, row]
         self.fp_count = int(np.bitwise_count(self.fp).sum())
         self.positions[classifier] = target
         return self.fp_count

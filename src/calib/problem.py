@@ -16,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -102,7 +103,8 @@ class Problem:
             if len(ids) != n:
                 raise ValidationError(f"{name} has {len(ids)} entries, expected {n}")
             if len(set(ids)) != len(ids):
-                dup = next(x for x in ids if ids.count(x) > 1)
+                counts = Counter(ids)
+                dup = next(x for x in ids if counts[x] > 1)
                 raise ValidationError(f"{name} contains duplicate id {dup!r}")
             object.__setattr__(self, name, ids)
         if self.metadata is not None:

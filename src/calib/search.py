@@ -5,14 +5,16 @@ whose k = num_classifiers children per node each lower one classifier just
 enough to cover that level's positive.  Every leaf is a feasible
 configuration; depth-first traversal with an incumbent bound, sibling
 equivalence elimination, root depth reduction, and difficulty-first level
-ordering makes the exhaustive version tractable.  A positive's difficulty
-is read off the root CoverState's per-candidate costs.  A local search
+ordering makes the exhaustive version tractable.  A node's children are
+priced from its level's rows in the CoverState, and a positive's difficulty
+is read off the root CoverState's cover costs.  A local search
 improves each new incumbent before it is recorded, so the bound prunes
 against a better one.
 """
 
 from __future__ import annotations
 
+import numbers
 import random
 import time
 from dataclasses import dataclass
@@ -75,9 +77,16 @@ class SearchOptions:
     trace: TraceFn | None = None
 
     def __post_init__(self):
+        # A bool is an int to Python, but no budget.
+        if isinstance(self.budget_ms, bool):
+            raise ValueError(f"budget_ms must be a number, got {self.budget_ms!r}")
         # `not x > 0` also rejects NaN.
         if self.budget_ms is not None and not self.budget_ms > 0:
             raise ValueError("budget_ms must be positive")
+        if self.node_budget is not None and (
+                isinstance(self.node_budget, bool)
+                or not isinstance(self.node_budget, numbers.Integral)):
+            raise ValueError(f"node_budget must be an integer, got {self.node_budget!r}")
         if self.node_budget is not None and not self.node_budget > 0:
             raise ValueError("node_budget must be positive")
 
@@ -86,12 +95,11 @@ def difficulty_order(state: CoverState) -> tuple[np.ndarray, list[int]]:
     """Per-positive difficulty and the positives sorted hardest first.
 
     A positive's difficulty is the fewest negatives any one classifier must
-    concede to cover it from the root, ``min_j cost[j, cover_position[j, p]]``.
-    Placing hard positives at the top of the tree lets pruning by bound
-    discard larger subtrees; ties keep ascending index.
+    concede to cover it from the root, ``min_j cost[j, p]``.  Placing hard
+    positives at the top of the tree lets pruning by bound discard larger
+    subtrees; ties keep ascending index.
     """
-    costs = np.take_along_axis(state.cost, state.cover_position, axis=1)
-    difficulty = costs.min(axis=0)
+    difficulty = state.cost.min(axis=0)
     return difficulty, np.argsort(-difficulty, kind="stable").tolist()
 
 
@@ -130,87 +138,93 @@ class LeafImprover:
     position, and a trial is kept only if it loses strictly fewer
     negatives.  Position 0 covers no negative, and the positives it covers
     are never uncovered, so only the other live positives are tracked.
+    Trials run on the CoverState's rows: each classifier's position is
+    named by one of its rows, 0 for position 0 and q + 1 for its cover
+    position of live positive q.
     """
 
     def __init__(self, state: CoverState):
         self.rows = state.rows
-        self.cost = state.cost
+        self.row_position = state.row_position
         self.classifiers = np.arange(len(state.positions))
-        # Classifier 0 at position 0 concedes nothing, so it pads the ORs.
+        # Classifier 0 at row 0 concedes nothing, so it pads the ORs.
         self.padded = np.concatenate(([0], self.classifiers, [0]))
-        live = state.cover_position.min(axis=0) > 0
-        self.cover_position = state.cover_position[:, live]
+        self.cover_position = state.row_position[:, 1:]
         self.cover_lists = self.cover_position.T.tolist()
 
     def improve(self, positions: list[int], loss: int, bound: int) -> tuple[list[int], int]:
-        """(positions, loss) after the kept trials, the input pair if none is kept.
+        """(positions, loss) after the kept trials, equal to the input if none is kept.
 
         Stops at ``bound``, which no configuration can beat.
         """
+        # Each position's first row; rows of equal positions are equal.
+        at = self.row_position == np.array(positions)[:, None]
+        rows = at.argmax(axis=1).tolist()
         for _ in range(LOCAL_SEARCH_ROUNDS):
-            order, tables = self.tables(positions)
+            order, tables = self.tables(rows)
             kept = False
             for j in order:
                 if tables is None:
-                    tables = self.tables(positions)[1]
+                    tables = self.tables(rows)[1]
                 sole, without, counts = tables
                 if counts[j] >= loss:
                     continue
-                trial = self.trial(j, positions, sole[j], without[j], counts[j], loss)
+                trial = self.trial(j, rows, sole[j], without[j], counts[j], loss)
                 if trial is not None:
-                    positions, loss = trial
+                    rows, loss = trial
                     tables = None
                     kept = True
                     if loss <= bound:
-                        return positions, loss
-            if not kept:
+                        break
+            if not kept or loss <= bound:
                 break
-        return positions, loss
+        return self.row_position[self.classifiers, rows].tolist(), loss
 
-    def tables(self, positions: list[int]):
+    def tables(self, rows: list[int]):
         """The raised classifiers in descending cost, and per classifier j the
         live positives only j covers, the false positives without j and their count.
 
         A per-positive cover count finds the positives one classifier covers;
         prefix and suffix ORs of the current rows give every j's set at once.
         """
-        padded = np.array([0, *positions, 0])
+        padded = np.array([0, *rows, 0])
         current = padded[1:-1]
-        costs = self.cost[self.classifiers, current].tolist()
-        order = sorted((j for j, t in enumerate(positions) if t), key=lambda j: -costs[j])
-        covered = current[:, None] >= self.cover_position
-        sole: list[list[int]] = [[] for _ in positions]
+        words = self.rows[self.padded, padded]
+        costs = np.add.reduce(np.bitwise_count(words[1:-1]), axis=1).tolist()
+        order = sorted((j for j, r in enumerate(rows) if r), key=lambda j: -costs[j])
+        covered = self.row_position[self.classifiers, current][:, None] >= self.cover_position
+        sole: list[list[int]] = [[] for _ in rows]
         js, qs = (covered & (np.add.reduce(covered, axis=0) == 1)).nonzero()
         for j, q in zip(js.tolist(), qs.tolist()):
             sole[j].append(q)
-        rows = self.rows[self.padded, padded]
-        before = np.bitwise_or.accumulate(rows, axis=0)
-        after = np.bitwise_or.accumulate(rows[::-1], axis=0)
+        before = np.bitwise_or.accumulate(words, axis=0)
+        after = np.bitwise_or.accumulate(words[::-1], axis=0)
         without = before[:-2] | after[-3::-1]
         counts = np.add.reduce(np.bitwise_count(without), axis=1).tolist()
         return order, (sole, without, counts)
 
-    def trial(self, j: int, positions: list[int], uncovered: list[int], fp: np.ndarray,
+    def trial(self, j: int, rows: list[int], uncovered: list[int], fp: np.ndarray,
               count: int, loss: int) -> tuple[list[int], int] | None:
-        """Drop j to position 0 and re-cover; None unless the count falls below loss."""
-        positions = list(positions)
-        positions[j] = 0
+        """Drop j to row 0 and re-cover; None unless the count falls below loss."""
+        rows = list(rows)
+        rows[j] = 0
         while uncovered:
             worst = -1
             for q in uncovered:
                 # The false-positive count after each classifier's cover of q.
-                covers = self.rows[self.classifiers, self.cover_position[:, q]]
-                counts = np.add.reduce(np.bitwise_count(covers | fp), axis=1).tolist()
+                counts = np.add.reduce(np.bitwise_count(self.rows[:, q + 1] | fp),
+                                       axis=1).tolist()
                 fewest = min(counts)
                 if fewest >= loss:
                     return None
                 if fewest > worst:
                     worst, worst_q, via = fewest, q, counts.index(fewest)
             count = worst
-            positions[via] = t = self.cover_lists[worst_q][via]
-            fp = fp | self.rows[via, t]
+            rows[via] = worst_q + 1
+            t = self.cover_lists[worst_q][via]
+            fp = fp | self.rows[via, worst_q + 1]
             uncovered = [q for q in uncovered if self.cover_lists[q][via] > t]
-        return positions, count
+        return rows, count
 
 
 def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solution:
@@ -227,9 +241,10 @@ def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solut
     state = CoverState(problem, grid)
     levels, root_covered, root_bound = plan_tree(state, options)
     h = len(levels)
-    classifiers = np.arange(problem.num_classifiers)
     # Row p holds every classifier's cover position of positive p, contiguous.
     cover_by_level = np.ascontiguousarray(state.cover_position.T)
+    # The search branches only on live positives; each one's row in state.rows.
+    row_of = dict(zip(state.live.tolist(), range(1, len(state.live) + 1)))
 
     stats = SearchStats(levels=h)
     stats.positives_removed_by_root = len(root_covered)
@@ -251,10 +266,10 @@ def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solut
             return True
         return False
 
-    def plan_children(p: int) -> tuple[list[int], list[int], list[int]]:
-        """Increments, classifiers and targets of the children, in (inc, j) order."""
-        targets = cover_by_level[p]
-        incs, newly = state.peek_edge(classifiers, targets)
+    def plan_children(row: int) -> tuple[list[int], list[int], int]:
+        """Increments and classifiers of the children, in (inc, j) order, and their row."""
+        # Every classifier's edge at once, from views of the state's arrays.
+        incs, newly = state.peek_edge(slice(None), row)
         order = incs.argsort(kind="stable")
         incs = incs[order]
         if options.enable_prune_equivalence:
@@ -276,7 +291,7 @@ def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solut
             if dropped:
                 stats.nodes_pruned_equivalence += len(dropped)
                 order, incs = np.delete(order, dropped), np.delete(incs, dropped)
-        return incs.tolist(), order.tolist(), targets[order].tolist()
+        return incs.tolist(), order.tolist(), row
 
     def record_leaf() -> None:
         """Make the current leaf, improved by local search, the incumbent."""
@@ -311,21 +326,21 @@ def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solut
             p = levels[depth]
             covering = state.positions >= cover_by_level[p]
             if not covering[covering.argmax()]:
-                stack.append([depth + 1, 0, *plan_children(p)])
+                stack.append([depth + 1, 0, *plan_children(row_of[p])])
                 return True
             depth += 1
 
     improver: LeafImprover | None = None
     prune_bound = options.enable_prune_bound
     # Depth-first over frames [child depth, next child k, increments,
-    # classifiers, targets]: the top frame undoes child k - 1's edge, then
+    # classifiers, row]: the top frame undoes child k - 1's edge, then
     # enters child k or is popped.  The stack is explicit, so tree depth is
     # not bounded by Python's recursion limit.
     stack: list[list] = []
     within_budget = enter(0)
     while within_budget and stack:
         frame = stack[-1]
-        depth, k, incs, js, targets = frame
+        depth, k, incs, js, row = frame
         if k:
             state.undo_edge()
         if k == len(incs):
@@ -336,7 +351,7 @@ def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solut
             stats.nodes_pruned_bound += len(incs) - k
             stack.pop()
         else:
-            state.apply_edge(js[k], targets[k])
+            state.apply_edge(js[k], row)
             frame[1] = k + 1
             within_budget = enter(depth)
 

@@ -6,8 +6,11 @@ when it crosses a positive's score.  It is enough to consider one threshold
 in each gap directly below a positive whose next-lower distinct score
 belongs to a negative, plus a floor below the bottom-most positive, plus a
 sentinel above everything when the top score belongs to a negative.  That is
-at most P + 1 candidates per classifier, found for all classifiers at once
-from one sort of each classifier's scores.
+at most P + 1 candidates per classifier, found from a sort of each
+classifier's positives and of its negatives: one ``searchsorted`` of the
+positives among the negatives counts the negatives below each positive,
+and a gap holds a negative exactly where that count rises.  The same counts
+give the negatives each candidate concedes.
 
 A gap's candidate is the midpoint of its two distinct scores when that lies
 strictly between them.  Where it does not (adjacent floats, or a sum that
@@ -43,11 +46,13 @@ class CandidateGrid:
     Row j of ``thresholds`` (E x T, read-only) holds classifier j's
     ``lengths[j]`` candidates, padded with -inf.  The first (tightest)
     candidate concedes no negative; each later one concedes strictly more,
-    and the last covers every positive.
+    and the last covers every positive.  ``conceded[j, t]`` counts the
+    negatives classifier j scores above its candidate t (N in the padding).
     """
 
     thresholds: np.ndarray
     lengths: np.ndarray
+    conceded: np.ndarray
 
     def __len__(self) -> int:
         return len(self.lengths)
@@ -59,48 +64,58 @@ class CandidateGrid:
 
 def extract_candidates(problem: Problem) -> CandidateGrid:
     """Per-classifier candidate thresholds sufficient for global optimality."""
-    scores = np.concatenate([problem.positive_scores, problem.negative_scores], axis=1)
-    order = np.argsort(scores, axis=1)
-    s = np.take_along_axis(scores, order, axis=1)  # each row ascending
-    # Number the groups of equal scores row after row, then flag each sample
-    # by whether its group holds a positive and whether it holds a negative.
-    starts = np.ones(s.shape, dtype=bool)
-    np.not_equal(s[:, 1:], s[:, :-1], out=starts[:, 1:])
-    group = np.cumsum(starts).reshape(s.shape) - 1
-    positive = order < problem.num_positives
-    has_pos = np.zeros(group.size, dtype=bool)  # no more groups than samples
-    has_neg = np.zeros(group.size, dtype=bool)
-    has_pos[group[positive]] = True
-    has_neg[group[~positive]] = True
-    has_pos, has_neg = has_pos[group], has_neg[group]
+    ps = np.sort(problem.positive_scores, axis=1)
+    E, P = ps.shape
+    N = problem.num_negatives
+    # Each row ascending after a -inf in column 0, so ns[j, c] is classifier
+    # j's c-th lowest negative and ns[j, 0] stands in where there is none.
+    ns = np.empty((E, N + 1))
+    ns[:, 0] = -np.inf
+    ns[:, 1:] = problem.negative_scores
+    ns.sort(axis=1)
+    # Slot i < P is the gap below the i-th lowest positive, slot P the
+    # sentinel; below[j, i] counts j's negatives under slot i's positive.
+    below = np.empty((E, P + 1), dtype=np.intp)
+    below[:, P] = N
+    for j in range(E):
+        below[j, :P] = ns[j, 1:].searchsorted(ps[j])
+    # A slot is kept when a negative lies between it and the slot below: the
+    # next-lower distinct score of its positive is then a negative's, or,
+    # for the sentinel, the top score is.  Slot 0 always has a candidate.
+    kept = np.empty((E, P + 1), dtype=bool)
+    kept[:, 0] = True
+    np.greater(below[:, 1:], below[:, :-1], out=kept[:, 1:])
 
-    below, above = s[:, :-1], s[:, 1:]
+    # The highest negative under each slot, and for the gaps their midpoints.
+    lower = np.take_along_axis(ns, below, axis=1)
+    gap_low = lower[:, :P]
     with np.errstate(over="ignore"):
-        mid = (above + below) / 2.0
-        floor = np.minimum(s[:, 0] - 1.0, np.nextafter(s[:, 0], -np.inf))
-    unserved = has_pos[:, 0] & ~np.isfinite(floor)
+        mid = (ps + gap_low) / 2.0
+        floor = np.minimum(ps[:, 0] - 1.0, np.nextafter(ps[:, 0], -np.inf))
+    bottom = below[:, 0] == 0  # no negative under the lowest positive: the floor
+    unserved = bottom & ~np.isfinite(floor)
     if unserved.any():
         j = int(np.argmax(unserved))
         raise ValidationError(
-            f"classifier {j}: positive score {float(s[j, 0])!r} has no finite "
+            f"classifier {j}: positive score {float(ps[j, 0])!r} has no finite "
             "threshold below it"
         )
-    # Descending: a sentinel disabling the classifier, the only zero-cost
-    # candidate when the top group has a negative; one candidate per start
-    # of a group with a positive directly above a group with a negative;
-    # the floor.
-    values = np.column_stack(
-        [floor, np.where((below < mid) & (mid < above), mid, below), s[:, -1] + 1.0]
-    )[:, ::-1]
-    kept = np.column_stack(
-        [has_pos[:, 0], starts[:, 1:] & has_pos[:, 1:] & has_neg[:, :-1], has_neg[:, -1]]
-    )[:, ::-1]
+    values = np.empty((E, P + 1))
+    values[:, :P] = np.where((gap_low < mid) & (mid < ps), mid, gap_low)
+    np.copyto(values[:, 0], floor, where=bottom)
+    values[:, P] = lower[:, P] + 1.0
+    # Descending, tightest first.
+    kept, values, below = kept[:, ::-1], values[:, ::-1], below[:, ::-1]
     lengths = kept.sum(axis=1)
-    thresholds = np.full((len(lengths), lengths.max()), -np.inf)
-    thresholds[np.arange(lengths.max()) < lengths[:, None]] = values[kept]
-    thresholds.flags.writeable = False
-    lengths.flags.writeable = False
-    return CandidateGrid(thresholds=thresholds, lengths=lengths)
+    T = lengths.max()
+    slots = np.arange(T) < lengths[:, None]
+    thresholds = np.full((E, T), -np.inf)
+    thresholds[slots] = values[kept]
+    conceded = np.full((E, T), N)
+    conceded[slots] = N - below[kept]
+    for a in (thresholds, lengths, conceded):
+        a.flags.writeable = False
+    return CandidateGrid(thresholds=thresholds, lengths=lengths, conceded=conceded)
 
 
 def packed_above(scores: np.ndarray, thresholds: np.ndarray) -> np.ndarray:

@@ -8,11 +8,13 @@ import pytest
 from calib import (
     CoverState,
     EmptyJournal,
+    GenerateSpec,
     MonotonicityViolation,
     Problem,
     compute_loss,
     difficulty_order,
     extract_candidates,
+    generate,
     oracle_solve,
     thresholds,
 )
@@ -45,6 +47,11 @@ def assert_consistent(st):
     """The incremental count matches the bits and a batch recomputation."""
     assert st.fp_count == int(np.bitwise_count(st.fp).sum())
     assert st.fp_count == compute_loss(st.problem, st.grid.config(st.positions))
+
+
+def looser_rows(st, j):
+    """Classifier j's rows whose candidate is at or below its current position."""
+    return np.flatnonzero(st.row_position[j] >= st.positions[j]).tolist()
 
 
 def covering(st, positive):
@@ -134,9 +141,9 @@ def test_noop_edge_is_journaled(toy):
 
 @pytest.mark.parametrize("seed", range(25))
 def test_random_walk_apply_undo_round_trip(seed):
-    """Random monotone walks: incremental state tracks batch recomputation,
-    positive coverage matches the thresholds, and a full unwind restores the
-    root exactly."""
+    """Random monotone walks over the rows: incremental state tracks batch
+    recomputation, positive coverage matches the thresholds, and a full
+    unwind restores the root exactly."""
     prob = small_problem(seed)
     st = make_state(prob)
     root_neg = fp_bits(st)
@@ -144,18 +151,19 @@ def test_random_walk_apply_undo_round_trip(seed):
     steps = 0
     for _ in range(30):
         j = rng.randrange(prob.num_classifiers)
-        cur = st.positions[j]
-        hi = st.grid.lengths[j] - 1
-        if cur == hi and rng.random() < 0.5 and st.journal:
+        rows = looser_rows(st, j)
+        if st.positions[j] == st.row_position[j].max() and rng.random() < 0.5 and st.journal:
             st.undo_edge()
             steps -= 1
             continue
-        target = rng.randint(cur, hi)
-        inc, newly = st.peek_edge(j, target)
+        row = rng.choice(rows)
+        target = st.row_position[j, row]
+        inc, newly = st.peek_edge(j, row)
         newly_bits = bits(newly, prob.num_negatives)
         before_fp = st.fp_count
         before_neg = fp_bits(st)
-        fp = st.apply_edge(j, target)
+        fp = st.apply_edge(j, row)
+        assert st.positions[j] == target
         # peek promised exactly what apply delivered
         assert fp - before_fp == inc == newly_bits.sum()
         assert np.array_equal(fp_bits(st) & ~before_neg, newly_bits)
@@ -177,17 +185,47 @@ def test_random_walk_apply_undo_round_trip(seed):
     assert_consistent(st)
 
 
+def brute_live(prob):
+    """Positives that no classifier's tightest candidate covers."""
+    tightest = extract_candidates(prob).thresholds[:, :1]
+    return np.flatnonzero(~(prob.positive_scores > tightest).any(axis=0)).tolist()
+
+
 @pytest.mark.parametrize("seed", range(25))
 def test_rows_match_threshold_rule(seed):
-    """Every reachable row is exactly the negatives scoring above its candidate,
-    and its cost is their count."""
-    prob = small_problem(seed)
+    """One row per classifier and live positive, plus the empty row 0: each is
+    exactly the negatives scoring above its candidate, the classifier's cover
+    position of that positive.  Root costs are brute-force counts."""
+    for prob in (small_problem(seed), tie_heavy_problem(seed)):
+        assert_rows_match_threshold_rule(prob)
+
+
+def assert_rows_match_threshold_rule(prob):
     st = make_state(prob)
-    for j in range(prob.num_classifiers):
-        for t, theta in enumerate(candidates(st.grid, j)):
-            expected = prob.negative_scores[j] > theta
-            assert np.array_equal(bits(st.rows[j, t], prob.num_negatives), expected)
-            assert st.cost[j, t] == expected.sum()
+    E, P, N = prob.num_classifiers, prob.num_positives, prob.num_negatives
+    live = brute_live(prob)
+    assert st.live.tolist() == live
+    assert st.rows.shape == (E, len(live) + 1, -(-N // 64))
+    assert not st.row_position[:, 0].any()
+    assert np.array_equal(st.row_position[:, 1:], st.cover_position[:, live])
+    for j in range(E):
+        for row, t in enumerate(st.row_position[j]):
+            expected = prob.negative_scores[j] > st.grid.thresholds[j, t]
+            assert np.array_equal(bits(st.rows[j, row], N), expected)
+        for p in range(P):
+            # A negative tied with the positive is conceded too.
+            conceded = prob.negative_scores[j] >= prob.positive_scores[j, p]
+            assert st.cost[j, p] == conceded.sum()
+
+
+def test_rows_at_exemplar_scale_stay_small():
+    """E = P = 300, N = 5,000: the rows hold only the live levels' edges."""
+    prob, _ = generate(GenerateSpec(seed=1, num_classifiers=300, num_positives=300,
+                                    num_negatives=5000, dimensions=12, noise=0.1,
+                                    spread=0.2))
+    st = CoverState(prob, extract_candidates(prob))
+    assert st.rows.shape == (300, len(st.live) + 1, 79)
+    assert st.rows.nbytes <= 18 << 20
 
 
 def test_rows_do_not_depend_on_block_size(monkeypatch):
@@ -228,21 +266,30 @@ def test_array_peek_equals_scalar_peeks(seed):
     E = prob.num_classifiers
 
     def looser(j):
-        return rng.randint(st.positions[j], st.grid.lengths[j] - 1)
+        return rng.choice(looser_rows(st, j))
 
     for _ in range(3):
         j = rng.randrange(E)
         st.apply_edge(j, looser(j))
-    targets = np.array([looser(j) for j in range(E)])
-    incs, newly = st.peek_edge(np.arange(E), targets)
+    rows = np.array([looser(j) for j in range(E)])
+    incs, newly = st.peek_edge(np.arange(E), rows)
     assert incs.shape == (E,) and newly.shape == (E, st.fp.size)
     for j in range(E):
-        inc, row = st.peek_edge(j, int(targets[j]))
+        inc, row = st.peek_edge(j, int(rows[j]))
         assert incs[j] == inc and np.array_equal(newly[j], row)
-    tighter = targets.copy()
-    tighter[rng.randrange(E)] = -1
-    with pytest.raises(MonotonicityViolation):
-        st.peek_edge(np.arange(E), tighter)
+    # A slice of classifiers and one row: the search's call.
+    row = rng.randrange(st.rows.shape[1])
+    if all(row in looser_rows(st, j) for j in range(E)):
+        incs, newly = st.peek_edge(slice(None), row)
+        for j in range(E):
+            inc, packed = st.peek_edge(j, row)
+            assert incs[j] == inc and np.array_equal(newly[j], packed)
+    raised = [j for j in range(E) if st.positions[j] > 0]
+    if raised:
+        tighter = rows.copy()
+        tighter[rng.choice(raised)] = 0
+        with pytest.raises(MonotonicityViolation):
+            st.peek_edge(np.arange(E), tighter)
 
 
 def test_no_negatives_costs_nothing():
@@ -251,9 +298,11 @@ def test_no_negatives_costs_nothing():
         negative_scores=np.zeros((2, 0)),
     )
     st = make_state(p)
-    assert st.cost.tolist() == [[0], [0]]
+    assert st.cost.tolist() == [[0, 0], [0, 0]]
     assert difficulty_order(st)[0].tolist() == [0, 0]
-    incs, newly = st.peek_edge(np.arange(2), st.cover_position[:, 0])
+    # Every positive is covered at the root: only the empty row is left.
+    assert st.live.size == 0 and st.rows.shape == (2, 1, 0)
+    incs, newly = st.peek_edge(np.arange(2), 0)
     assert incs.tolist() == [0, 0] and newly.shape == (2, 0)
-    assert st.apply_edge(0, int(st.cover_position[0, 0])) == 0
+    assert st.apply_edge(0, 0) == 0
     assert_consistent(st)

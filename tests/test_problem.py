@@ -53,6 +53,17 @@ def test_shape_validation():
 def test_duplicate_ids_rejected():
     with pytest.raises(ValidationError):
         Problem(np.zeros((1, 2)), np.zeros((1, 1)), positive_ids=("a", "a"))
+    # The first id that occurs twice is named, not the first repeat.
+    with pytest.raises(ValidationError, match="duplicate id 'b'"):
+        Problem(np.zeros((1, 4)), np.zeros((1, 1)), positive_ids=("b", "a", "a", "b"))
+
+
+def test_duplicate_among_many_ids_is_found_in_linear_time():
+    n = 100_000
+    ids = [f"n{i}" for i in range(n)]
+    ids[-1] = ids[n // 2]
+    with pytest.raises(ValidationError, match=f"negative_ids contains duplicate id 'n{n // 2}'"):
+        Problem(np.zeros((1, 1)), np.zeros((1, n)), negative_ids=ids)
 
 
 def test_matrices_read_only(toy):

@@ -258,6 +258,16 @@ def test_options_validation():
         SearchOptions(budget_ms=float("nan"))
     with pytest.raises(ValueError):
         SearchOptions(node_budget=0)
+    # A bool or a fraction is no budget, though Python compares both with 0.
+    for bad in (True, False, 2.5, 2.0, float("inf"), "10"):
+        with pytest.raises(ValueError, match="node_budget must be an integer"):
+            SearchOptions(node_budget=bad)
+    for bad in (True, False):
+        with pytest.raises(ValueError, match="budget_ms must be a number"):
+            SearchOptions(budget_ms=bad)
+    # Integers of any width are node budgets; any positive number is a wall budget.
+    assert SearchOptions(node_budget=np.int64(3)).node_budget == 3
+    assert SearchOptions(budget_ms=5).budget_ms == 5
 
 
 # Golden totals over small_problem(0..199) of [nodes_visited,

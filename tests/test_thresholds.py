@@ -8,18 +8,86 @@ from hypothesis import strategies as st
 from calib import (
     CalibError,
     CoverState,
+    GenerateSpec,
     Problem,
     ValidationError,
     check_feasible,
     compute_loss,
     difficulty_order,
     extract_candidates,
+    generate,
     oracle_solve,
     solve_exact,
 )
 from calib.thresholds import packed_above
 
-from conftest import candidates, dense_sweep_optimum, small_problem
+from conftest import candidates, dense_sweep_optimum, small_problem, tie_heavy_problem
+
+
+def reference_candidates(problem):
+    """The former extractor: one argsort of all of each classifier's scores.
+
+    It numbers the groups of equal scores row after row and flags each by
+    whether it holds a positive and whether it holds a negative; a
+    candidate sits below each group start with a positive directly above a
+    group with a negative.  Kept as the reference the per-class sorts of
+    ``extract_candidates`` must reproduce.  Returns (thresholds, lengths).
+    """
+    scores = np.concatenate([problem.positive_scores, problem.negative_scores], axis=1)
+    order = np.argsort(scores, axis=1)
+    s = np.take_along_axis(scores, order, axis=1)
+    starts = np.ones(s.shape, dtype=bool)
+    np.not_equal(s[:, 1:], s[:, :-1], out=starts[:, 1:])
+    group = np.cumsum(starts).reshape(s.shape) - 1
+    positive = order < problem.num_positives
+    has_pos = np.zeros(group.size, dtype=bool)
+    has_neg = np.zeros(group.size, dtype=bool)
+    has_pos[group[positive]] = True
+    has_neg[group[~positive]] = True
+    has_pos, has_neg = has_pos[group], has_neg[group]
+
+    below, above = s[:, :-1], s[:, 1:]
+    with np.errstate(over="ignore"):
+        mid = (above + below) / 2.0
+        floor = np.minimum(s[:, 0] - 1.0, np.nextafter(s[:, 0], -np.inf))
+    unserved = has_pos[:, 0] & ~np.isfinite(floor)
+    if unserved.any():
+        j = int(np.argmax(unserved))
+        raise ValidationError(
+            f"classifier {j}: positive score {float(s[j, 0])!r} has no finite "
+            "threshold below it"
+        )
+    values = np.column_stack(
+        [floor, np.where((below < mid) & (mid < above), mid, below), s[:, -1] + 1.0]
+    )[:, ::-1]
+    kept = np.column_stack(
+        [has_pos[:, 0], starts[:, 1:] & has_pos[:, 1:] & has_neg[:, :-1], has_neg[:, -1]]
+    )[:, ::-1]
+    lengths = kept.sum(axis=1)
+    thresholds = np.full((len(lengths), lengths.max()), -np.inf)
+    thresholds[np.arange(lengths.max()) < lengths[:, None]] = values[kept]
+    return thresholds, lengths
+
+
+def assert_matches_reference(problem):
+    """Same grid as the reference, bit for bit, or the same error; and every
+    candidate's conceded count is the brute-force count."""
+    try:
+        thresholds, lengths = reference_candidates(problem)
+    except ValidationError as e:
+        with pytest.raises(ValidationError) as raised:
+            extract_candidates(problem)
+        assert str(raised.value) == str(e)
+        return
+    grid = extract_candidates(problem)
+    assert grid.thresholds.shape == thresholds.shape
+    assert grid.thresholds.tobytes() == thresholds.tobytes()
+    assert np.array_equal(grid.lengths, lengths)
+    # One classifier at a time, so the comparison stays small at E=100, N=5,000.
+    for neg, row, conceded in zip(problem.negative_scores, grid.thresholds, grid.conceded):
+        # The -inf padding concedes all N.
+        assert np.array_equal(conceded, (neg[None, :] > row[:, None]).sum(axis=1))
+    assert not grid.conceded[:, 0].any()
 
 
 def conceded(problem, j, t):
@@ -181,12 +249,12 @@ def test_difficulty_and_cost_match_brute_force_on_ties(data):
     N = data.draw(st.integers(0, 5))
     draw = lambda n: [[float(data.draw(st.integers(0, 4))) for _ in range(n)] for _ in range(E)]
     prob = Problem(np.array(draw(P)), np.array(draw(N)).reshape(E, N))
-    grid = extract_candidates(prob)
-    state = CoverState(prob, grid)
+    state = CoverState(prob, extract_candidates(prob))
     assert difficulty_order(state)[0].tolist() == brute_difficulty(prob)
-    for j in range(E):
-        for t, theta in enumerate(candidates(grid, j)):
-            assert state.cost[j, t] == (prob.negative_scores[j] > theta).sum()
+    # Root cost of covering p through j: its negatives at or above p's score.
+    pos, neg = prob.positive_scores, prob.negative_scores
+    assert state.cost.tolist() == [
+        [int((neg[j] >= pos[j, p]).sum()) for p in range(P)] for j in range(E)]
 
 
 @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 128, 129])
@@ -274,3 +342,60 @@ def test_extreme_scores_solve_to_the_optimum_or_raise(data):
     assert not (prob.positive_scores == -DBL_MAX).any()
     assert np.isfinite(sol.config).all()
     assert sol.loss == oracle_solve(prob).loss == dense_sweep_optimum(prob)
+
+
+@pytest.mark.parametrize("prob", [
+    *(small_problem(seed) for seed in range(40)),
+    *(tie_heavy_problem(seed) for seed in range(40)),
+], ids=lambda prob: f"E{prob.num_classifiers}-P{prob.num_positives}-N{prob.num_negatives}")
+def test_extraction_matches_reference_on_fixtures(prob):
+    assert_matches_reference(prob)
+
+
+def test_extraction_matches_reference_on_anytime_e100():
+    """The anytime benchmark recipe: E=100, P=300, N=5,000."""
+    train, _ = generate(GenerateSpec(seed=1, num_classifiers=100, num_positives=300,
+                                     num_negatives=5000, dimensions=12, noise=0.1,
+                                     spread=0.2))
+    assert_matches_reference(train)
+
+
+# Signed zeros tie with each other.  The lattice has no score directly above
+# zero: below the smallest subnormal a candidate is the zero itself, and
+# which zero the reference picks then follows its argsort's order of equal
+# keys; the two are the same threshold.
+signed_zero_lattice = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_extraction_matches_reference_on_signed_zero_ties(data):
+    """-0.0 and 0.0 in both classes, N = 0 allowed."""
+    E = data.draw(st.integers(1, 3))
+    P = data.draw(st.integers(1, 4))
+    N = data.draw(st.integers(0, 6))
+    draw = lambda n: [[data.draw(signed_zero_lattice) for _ in range(n)] for _ in range(E)]
+    assert_matches_reference(Problem(np.array(draw(P)), np.array(draw(N)).reshape(E, N)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_extraction_matches_reference_on_extreme_scores(data):
+    """Adjacent floats, overflowing midpoints, absorbed offsets, N = 0 and
+    positives at the lowest float, whose error must match too."""
+    E = data.draw(st.integers(1, 3))
+    P = data.draw(st.integers(1, 3))
+    N = data.draw(st.integers(0, 4))
+    draw = lambda n: [[data.draw(extreme_scores) for _ in range(n)] for _ in range(E)]
+    assert_matches_reference(Problem(np.array(draw(P)), np.array(draw(N)).reshape(E, N)))
+
+
+@pytest.mark.parametrize("pos, neg", [
+    ([[-DBL_MAX, 0.0]], [[1.0]]),
+    ([[-DBL_MAX]], np.zeros((1, 0))),
+    ([[0.0, 1.0], [-DBL_MAX, 2.0]], [[0.5, -DBL_MAX], [3.0, 1.0]]),
+    # A negative under the lowest-float positive: a gap candidate, no floor.
+    ([[-DBL_MAX]], [[-DBL_MAX]]),
+], ids=["with-negatives", "no-negatives", "second-classifier", "tied-negative"])
+def test_extraction_matches_reference_at_lowest_float(pos, neg):
+    assert_matches_reference(Problem(np.array(pos), np.array(neg)))
