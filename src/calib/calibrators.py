@@ -8,7 +8,7 @@ calibration only changes how classifiers compare against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,18 +75,13 @@ class ConstantParams(_FloatFields):
 class IsotonicParams:
     """Right-continuous non-decreasing step function.
 
-    breakpoints are the distinct training scores ascending; prediction takes
-    the value of the nearest breakpoint at or below the query, clamped to
-    the first value below the range.  Both are held as read-only float64
-    arrays, converted once here, and maps compare equal by content.  Raises
-    ValidationError unless there are as many values as breakpoints, at
-    least one of each, and the breakpoints strictly ascend.
-
-    A call searches only the breakpoints where a run of bit-identical
-    values starts (tens of entries for a fit on thousands of scores); the
-    breakpoint found there carries the same value as the one the full
-    search would find.  That run table is derived, not a field, so model
-    files hold only breakpoints and values.
+    breakpoints ascend; prediction takes the value of the nearest breakpoint
+    at or below the query, clamped to the first value below the range.  A
+    fit keeps only the breakpoints where its value changes.  Both are held
+    as read-only float64 arrays, converted once here, and maps compare
+    equal by content.  Raises ValidationError unless there are as many
+    values as breakpoints, at least one of each, and the breakpoints
+    strictly ascend.
     """
 
     kind = "isotonic"
@@ -105,9 +100,6 @@ class IsotonicParams:
         bp.flags.writeable = vals.flags.writeable = False
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
-        starts = _run_starts(vals.view(np.int64))
-        object.__setattr__(self, "_run_breakpoints", bp[starts])
-        object.__setattr__(self, "_run_values", vals[starts])
 
     def __eq__(self, other):
         if type(other) is not IsotonicParams:
@@ -116,8 +108,8 @@ class IsotonicParams:
                 and np.array_equal(self.values, other.values))
 
     def __call__(self, scores: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self._run_breakpoints, scores, side="right") - 1
-        return self._run_values[np.maximum(idx, 0)]
+        idx = np.searchsorted(self.breakpoints, scores, side="right") - 1
+        return self.values[np.maximum(idx, 0)]
 
 
 @dataclass(frozen=True)
@@ -391,7 +383,12 @@ def pava(values: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
 
 
 def fit_isotonic(problem: Problem) -> CalibrationModel:
-    """Non-decreasing step fit of the 0/1 label against each classifier's score."""
+    """Non-decreasing step fit of the 0/1 label against each classifier's score.
+
+    Each map keeps one breakpoint per step: the lowest distinct score at
+    which the bits of the fitted value change (bits, so -0.0 and 0.0 stay
+    apart).  A tied -0.0 and 0.0 is one score, written as 0.0.
+    """
     labels = np.concatenate([np.ones(problem.num_positives), np.zeros(problem.num_negatives)])
     maps = []
     for pos, neg in zip(problem.positive_scores, problem.negative_scores):
@@ -400,11 +397,12 @@ def fit_isotonic(problem: Problem) -> CalibrationModel:
         ranked = scores[order]
         # Pool exact score ties before PAVA: one weighted point per distinct x.
         start = _run_starts(ranked)
-        xs = ranked[start]
         sums = np.add.reduceat(labels[order], start)
         counts = np.diff(np.append(start, len(scores)))
         fitted = pava(sums / counts, counts.astype(np.float64))
-        maps.append(IsotonicParams(breakpoints=xs, values=fitted))
+        steps = _run_starts(fitted.view(np.int64))
+        maps.append(IsotonicParams(breakpoints=ranked[start[steps]] + 0.0,
+                                   values=fitted[steps]))
     return CalibrationModel("isotonic", tuple(maps))
 
 
@@ -507,12 +505,7 @@ def save_model(model: CalibrationModel, path) -> None:
         "version": MODEL_FORMAT_VERSION,
         "method": model.method,
         "num_classifiers": model.num_classifiers,
-        # Fields read one by one: asdict deep-copies every isotonic
-        # breakpoint, and vars would also write an isotonic run table.
-        "classifiers": [
-            {"kind": m.kind, **{f.name: getattr(m, f.name) for f in fields(m)}}
-            for m in model.maps
-        ],
+        "classifiers": [{"kind": m.kind, **vars(m)} for m in model.maps],
         "degenerate": model.degenerate,
     }
     _write_json(doc, path)

@@ -19,7 +19,8 @@ since a score equal to the threshold is scored negatively.  The floor sits
 below the bottom score by 1.0, or by one float where 1.0 is absorbed; a
 positive at the lowest finite float has no finite threshold below it and is
 rejected.  The sentinel is the top score plus 1.0, which concedes nothing
-even where the 1.0 is absorbed.
+even where the 1.0 is absorbed.  A zero candidate is always +0.0, so tied
+-0.0 and 0.0 scores give the same grid in any column order.
 
 Samples with exactly equal scores are inseparable: a positive tied with a
 negative forces that negative's coverage, because a threshold must lie
@@ -110,7 +111,7 @@ def extract_candidates(problem: Problem) -> CandidateGrid:
     T = lengths.max()
     slots = np.arange(T) < lengths[:, None]
     thresholds = np.full((E, T), -np.inf)
-    thresholds[slots] = values[kept]
+    thresholds[slots] = values[kept] + 0.0  # -0.0 -> 0.0, whichever zero sorted last
     conceded = np.full((E, T), N)
     conceded[slots] = N - below[kept]
     for a in (thresholds, lengths, conceded):

@@ -144,8 +144,9 @@ def test_pava_empty_and_single_point():
     assert pava(np.array([0.7]), np.array([3.0])).tolist() == [0.7]
 
 
-def unpooled_isotonic_maps(problem):
-    """Each classifier's (breakpoints, values) fitted with unpooled_pava."""
+def every_score_isotonic_maps(problem, fit):
+    """Each classifier's (breakpoints, values) with every distinct score a
+    breakpoint, its values fitted by fit (pava or unpooled_pava)."""
     labels = np.concatenate([np.ones(problem.num_positives), np.zeros(problem.num_negatives)])
     maps = []
     for pos, neg in zip(problem.positive_scores, problem.negative_scores):
@@ -154,19 +155,27 @@ def unpooled_isotonic_maps(problem):
         xs, start = np.unique(scores[order], return_index=True)
         sums = np.add.reduceat(labels[order], start)
         counts = np.diff(np.append(start, len(scores)))
-        maps.append((xs, unpooled_pava(sums / counts, counts.astype(np.float64))))
+        maps.append((xs + 0.0, fit(sums / counts, counts.astype(np.float64))))
     return maps
+
+
+def rounded_problem(decimals):
+    # Rounded scores tie across samples; 12 decimals leaves them distinct.
+    rng = np.random.default_rng(decimals)
+    return Problem(np.round(rng.normal(0.8, 1, (5, 60)), decimals),
+                   np.round(rng.normal(0, 1, (5, 700)), decimals))
 
 
 @pytest.mark.parametrize("decimals", [1, 2, 12])
 def test_fit_isotonic_matches_unpooled_fit(decimals):
-    # Rounded scores tie across samples; 12 decimals leaves them distinct.
-    rng = np.random.default_rng(decimals)
-    prob = Problem(np.round(rng.normal(0.8, 1, (5, 60)), decimals),
-                   np.round(rng.normal(0, 1, (5, 700)), decimals))
-    for params, (xs, values) in zip(fit_isotonic(prob).maps, unpooled_isotonic_maps(prob)):
-        assert np.array_equal(params.breakpoints, xs)
-        assert np.allclose(params.values, values, rtol=0.0, atol=1e-15)
+    prob = rounded_problem(decimals)
+    for params, (xs, values) in zip(fit_isotonic(prob).maps,
+                                    every_score_isotonic_maps(prob, unpooled_pava)):
+        # The reference compacted to its steps: where the bits of its value change.
+        bits = values.view(np.int64)
+        steps = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+        assert params.breakpoints.tobytes() == xs[steps].tobytes()
+        assert np.allclose(params.values, values[steps], rtol=0.0, atol=1e-15)
 
 
 def newton_sigmoid_reference(scores, targets):
@@ -296,6 +305,36 @@ def test_sigmoid_fit_dominates_coarse_grid():
     assert params.a < 0
     lo, hi = params(np.array([-2.0, 2.0]))
     assert lo < hi
+
+
+def test_sigmoid_fit_falls_back_to_gradient_steps_on_a_singular_hessian(monkeypatch):
+    calls = []
+
+    def singular(*args):
+        calls.append(args)
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    rng = np.random.default_rng(0)
+    prob = Problem(rng.normal(1.0, 0.7, (3, 40)), rng.normal(-1.0, 0.9, (3, 120)))
+    model = fit_independent_sigmoid(prob, cutoff=-np.inf)
+    assert calls
+    t_pos, t_neg = smoothed_targets(40, 120)
+    targets = np.concatenate([np.full(40, t_pos), np.full(120, t_neg)])
+    for params, pos, neg in zip(model.maps, prob.positive_scores, prob.negative_scores):
+        assert isinstance(params, SigmoidParams)
+        scores = np.concatenate([pos, neg])
+        assert sigmoid_nll(scores, targets, params.a, params.b) < sigmoid_nll(scores, targets, 0, 0)
+
+
+def test_sigmoid_fit_on_constant_scores_ends_at_the_mean_target():
+    # Constant scores leave the ridged Hessian nearly singular (np.linalg.solve
+    # may raise on it); the fit must still reach the mean smoothed target.
+    prob = Problem(np.full((1, 5), 1.0), np.full((1, 100_000), 1.0))
+    (params,) = fit_independent_sigmoid(prob, cutoff=-np.inf).maps
+    t_pos, t_neg = smoothed_targets(5, 100_000)
+    mean_target = (5 * t_pos + 100_000 * t_neg) / 100_005
+    assert params(np.array([1.0]))[0] == pytest.approx(mean_target, rel=1e-6)
 
 
 def test_sigmoid_cutoff_drops_low_samples():
@@ -514,12 +553,6 @@ def test_isotonic_map_holds_read_only_arrays(tmp_path):
     ]
 
 
-def full_lookup(params, scores):
-    """The step-function lookup over every breakpoint."""
-    idx = np.searchsorted(params.breakpoints, scores, side="right") - 1
-    return params.values[np.maximum(idx, 0)]
-
-
 def lookup_queries(breakpoints):
     """Every breakpoint, the points between and just beside them, and
     queries beyond both ends."""
@@ -531,26 +564,31 @@ def lookup_queries(breakpoints):
     ])
 
 
-def isotonic_lookup_maps():
-    # Tie-heavy fits: rounded scores, as in test_fit_isotonic_matches_unpooled_fit.
+def test_isotonic_steps_score_as_every_score_map():
     for decimals in (1, 2, 12):
-        rng = np.random.default_rng(decimals)
-        prob = Problem(np.round(rng.normal(0.8, 1, (5, 60)), decimals),
-                       np.round(rng.normal(0, 1, (5, 700)), decimals))
-        yield from fit_isotonic(prob).maps
-    yield IsotonicParams([0.5], [0.3])                       # one breakpoint
-    yield IsotonicParams([-1.0, 0.0, 2.0, 3.5], [0.4] * 4)    # all values equal
-    # Values equal as numbers but not as bits stay apart.
-    yield IsotonicParams([0.0, 1.0, 2.0, 3.0], [-0.0, 0.0, 0.0, 1.0])
-    # A map read from a file need not be monotone.
-    rng = np.random.default_rng(3)
-    yield IsotonicParams(np.arange(200.0), rng.integers(0, 3, 200) / 2.0)
+        prob = rounded_problem(decimals)
+        for params, (xs, values) in zip(fit_isotonic(prob).maps,
+                                        every_score_isotonic_maps(prob, pava)):
+            assert len(params.breakpoints) < len(xs)
+            queries = lookup_queries(xs)
+            every_score = IsotonicParams(xs, values)
+            assert params(queries).tobytes() == every_score(queries).tobytes()
 
 
-def test_isotonic_lookup_matches_full_breakpoint_search():
-    for params in isotonic_lookup_maps():
-        queries = lookup_queries(params.breakpoints)
-        assert params(queries).tobytes() == full_lookup(params, queries).tobytes()
+def test_every_score_isotonic_file_loads_and_scores_the_same(tmp_path):
+    # Files once held every distinct training score as a breakpoint.
+    prob = rounded_problem(2)
+    maps = every_score_isotonic_maps(prob, pava)
+    doc = {"version": 1, "method": "isotonic", "num_classifiers": len(maps),
+           "classifiers": [{"kind": "isotonic", "breakpoints": xs.tolist(),
+                            "values": values.tolist()} for xs, values in maps],
+           "degenerate": []}
+    (tmp_path / "m.json").write_text(json.dumps(doc))
+    loaded = load_model(tmp_path / "m.json")
+    for params, old, (xs, _) in zip(fit_isotonic(prob).maps, loaded.maps, maps):
+        assert old.breakpoints.tobytes() == xs.tobytes()
+        queries = lookup_queries(xs)
+        assert old(queries).tobytes() == params(queries).tobytes()
 
 
 def test_saved_isotonic_model_holds_only_its_fields(tmp_path, toy):
@@ -562,6 +600,8 @@ def test_saved_isotonic_model_holds_only_its_fields(tmp_path, toy):
     assert after == (tmp_path / "before.json").read_bytes()
     for doc in json.loads(after)["classifiers"]:
         assert sorted(doc) == ["breakpoints", "kind", "values"]
+    for params in model.maps:
+        assert sorted(vars(params)) == ["breakpoints", "values"]
 
 
 @pytest.mark.parametrize("breakpoints, values", [

@@ -1,5 +1,7 @@
 """Candidate threshold extraction, difficulty, and grid sufficiency."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from calib import (
     compute_loss,
     difficulty_order,
     extract_candidates,
+    fit_isotonic,
     generate,
     oracle_solve,
     solve_exact,
@@ -65,7 +68,8 @@ def reference_candidates(problem):
     )[:, ::-1]
     lengths = kept.sum(axis=1)
     thresholds = np.full((len(lengths), lengths.max()), -np.inf)
-    thresholds[np.arange(lengths.max()) < lengths[:, None]] = values[kept]
+    # A zero candidate is +0.0, as in extract_candidates.
+    thresholds[np.arange(lengths.max()) < lengths[:, None]] = values[kept] + 0.0
     return thresholds, lengths
 
 
@@ -360,10 +364,8 @@ def test_extraction_matches_reference_on_anytime_e100():
     assert_matches_reference(train)
 
 
-# Signed zeros tie with each other.  The lattice has no score directly above
-# zero: below the smallest subnormal a candidate is the zero itself, and
-# which zero the reference picks then follows its argsort's order of equal
-# keys; the two are the same threshold.
+# Signed zeros tie with each other; both extractors write a zero candidate
+# as +0.0.
 signed_zero_lattice = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0])
 
 
@@ -376,6 +378,22 @@ def test_extraction_matches_reference_on_signed_zero_ties(data):
     N = data.draw(st.integers(0, 6))
     draw = lambda n: [[data.draw(signed_zero_lattice) for _ in range(n)] for _ in range(E)]
     assert_matches_reference(Problem(np.array(draw(P)), np.array(draw(N)).reshape(E, N)))
+
+
+def test_tied_signed_zeros_give_one_grid_config_and_isotonic_map():
+    # A positive one float above tied -0.0 and 0.0 negatives: the gap below
+    # it has no float strictly inside, so its candidate is the zero itself,
+    # and the zero is also the isotonic map's lowest breakpoint.
+    results = set()
+    for neg in itertools.permutations([-0.0, 0.0, -0.0]):
+        prob = Problem(np.array([[5e-324, 1.0]]), np.array([neg]))
+        grid = extract_candidates(prob)
+        config = np.array(solve_exact(prob).config)
+        (iso,) = fit_isotonic(prob).maps
+        results.add((grid.thresholds.tobytes(), config.tobytes(),
+                     iso.breakpoints.tobytes(), iso.values.tobytes()))
+    assert results == {(np.array([[0.0]]).tobytes(), np.array([0.0]).tobytes(),
+                        np.array([0.0, 5e-324]).tobytes(), np.array([0.0, 1.0]).tobytes())}
 
 
 @settings(max_examples=150, deadline=None)
