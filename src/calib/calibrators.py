@@ -8,6 +8,7 @@ calibration only changes how classifiers compare against each other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,13 +199,13 @@ def smoothed_targets(num_positives: int, num_negatives: int) -> tuple[float, flo
 
 def sigmoid_nll(scores: np.ndarray, targets: np.ndarray, a: float, b: float) -> float:
     """Negative log-likelihood of targets under p = 1/(1 + exp(a*s + b))."""
-    return _sigmoid_nll_into(scores, 1.0 - targets, a, b,
-                             np.empty(np.shape(scores)), np.empty(np.shape(scores)))
+    return _sigmoid_nll_into(scores, 1.0 - targets, a, b, *(
+        np.empty(np.shape(scores)) for _ in range(3)))
 
 
-def _sigmoid_nll_into(scores, complement, a, b, z, work) -> float:
+def _sigmoid_nll_into(scores, complement, a, b, z, term, work) -> float:
     """sigmoid_nll given complement = 1 - targets, computed in the scratch
-    arrays z and work.
+    arrays z, term and work; z is left holding a*s + b.
 
     -[t ln p + (1-t) ln(1-p)] = softplus(z) - (1-t) z, with softplus(z) =
     max(z, 0) + log1p(exp(-|z|)): stable for large |z|, and made of SIMD
@@ -213,16 +214,13 @@ def _sigmoid_nll_into(scores, complement, a, b, z, work) -> float:
     np.multiply(scores, a, out=z)
     np.add(z, b, out=z)
     np.maximum(z, 0.0, out=work)
-    np.abs(z, out=z)
-    np.negative(z, out=z)
-    np.exp(z, out=z)
-    np.log1p(z, out=z)
-    np.add(work, z, out=work)
-    # z is rebuilt here rather than held in a third array.
-    np.multiply(scores, a, out=z)
-    np.add(z, b, out=z)
-    np.multiply(complement, z, out=z)
-    np.subtract(work, z, out=work)
+    np.abs(z, out=term)
+    np.negative(term, out=term)
+    np.exp(term, out=term)
+    np.log1p(term, out=term)
+    np.add(work, term, out=work)
+    np.multiply(complement, z, out=term)
+    np.subtract(work, term, out=work)
     return float(work.sum())
 
 
@@ -234,48 +232,57 @@ def _fit_sigmoid(scores: np.ndarray, targets: np.ndarray) -> tuple[float, float]
     """Minimize sigmoid_nll over (a, b); convex, so damped Newton suffices.
 
     Raises DegenerateVariance when the gradient or Hessian is not finite.
-    Every array is built in one of two scratch arrays, each operation as
+    Every array is built in one of three scratch arrays, each operation as
     in the plain expressions (p = 1/(1 + exp(clip(a*s + b))), residual =
-    t - p, w = p (1 - p)), so the fit is the same bit for bit.
+    t - p, w = p (1 - p)), so the fit is the same bit for bit.  A Newton
+    step starts from the z = a*s + b that the objective evaluation which
+    accepted (a, b) left behind.  The clip is skipped when |a| max|s| + |b|
+    is at most 500: rounding is monotone, so that bound caps every |z| and
+    the clip would change nothing (a NaN or inf bound takes the clip).
     """
     complement = 1.0 - targets
     squares = scores * scores
-    p, work = np.empty(len(scores)), np.empty(len(scores))
+    top = float(np.abs(scores).max())
+    z, p, work = (np.empty(len(scores)) for _ in range(3))
+    hess = np.empty((2, 2))
     a, b = 0.0, 0.0
-    f = _sigmoid_nll_into(scores, complement, a, b, p, work)
+    f = _sigmoid_nll_into(scores, complement, a, b, z, p, work)
     for _ in range(NEWTON_MAX_ITER):
-        np.multiply(scores, a, out=p)
-        np.add(p, b, out=p)
-        np.clip(p, -500, 500, out=p)
-        np.exp(p, out=p)
+        if abs(a) * top + abs(b) <= 500.0:
+            np.exp(z, out=p)
+        else:
+            np.clip(z, -500, 500, out=p)
+            np.exp(p, out=p)
         np.add(p, 1.0, out=p)
         np.divide(1.0, p, out=p)
         residual = np.subtract(targets, p, out=work)
-        grad = np.array([np.dot(residual, scores), residual.sum()])
-        if not np.isfinite(grad).all():
+        g_a, g_b = float(np.dot(residual, scores)), float(residual.sum())
+        if not (math.isfinite(g_a) and math.isfinite(g_b)):
             raise DegenerateVariance("scores overflow the sigmoid fit's gradient")
-        if np.abs(grad).max() < NEWTON_GRAD_TOL:
+        if max(abs(g_a), abs(g_b)) < NEWTON_GRAD_TOL:
             break
         w = np.subtract(1.0, p, out=work)
         np.multiply(p, w, out=w)
-        h_aa = np.dot(w, squares)
-        h_ab = np.dot(w, scores)
-        h_bb = w.sum()
-        hess = np.array([[h_aa, h_ab], [h_ab, h_bb]])
-        if not np.isfinite(hess).all():
+        h_aa = float(np.dot(w, squares))
+        h_ab = float(np.dot(w, scores))
+        h_bb = float(w.sum())
+        if not (math.isfinite(h_aa) and math.isfinite(h_ab) and math.isfinite(h_bb)):
             raise DegenerateVariance("scores overflow the sigmoid fit's Hessian")
-        hess += 1e-12 * np.eye(2)  # scores may be constant
+        # The ridge 1e-12 * I, for constant scores; its 0.0 off the diagonal
+        # turns a -0.0 into 0.0.
+        hess[0, 0], hess[0, 1] = h_aa + 1e-12, h_ab + 0.0
+        hess[1, 0], hess[1, 1] = h_ab + 0.0, h_bb + 1e-12
         try:
-            step = np.linalg.solve(hess, -grad)
+            s_a, s_b = np.linalg.solve(hess, [-g_a, -g_b]).tolist()
         except np.linalg.LinAlgError:
-            step = -grad
+            s_a, s_b = -g_a, -g_b
         t = 1.0
         for _ in range(60):
-            ta, tb = a + t * step[0], b + t * step[1]
+            ta, tb = a + t * s_a, b + t * s_b
             if ta == a and tb == b:
                 # Every shorter step rounds to this same point, where fa == f.
                 return a, b
-            fa = _sigmoid_nll_into(scores, complement, ta, tb, p, work)
+            fa = _sigmoid_nll_into(scores, complement, ta, tb, z, p, work)
             if fa < f:
                 a, b, f = ta, tb, fa
                 break
@@ -393,7 +400,7 @@ def fit_isotonic(problem: Problem) -> CalibrationModel:
     maps = []
     for pos, neg in zip(problem.positive_scores, problem.negative_scores):
         scores = np.concatenate([pos, neg])
-        order = np.argsort(scores, kind="stable")
+        order = np.argsort(scores)
         ranked = scores[order]
         # Pool exact score ties before PAVA: one weighted point per distinct x.
         start = _run_starts(ranked)

@@ -8,6 +8,7 @@ other method is evaluated at the recall that point achieves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,7 +73,9 @@ def _operating_point(pos: np.ndarray, neg: np.ndarray, method: str,
         raise ValidationError(f"target recall {target} outside [0, 1]")
     if target == 0.0:
         top = float(np.max(np.concatenate([pos, neg]))) if len(neg) else float(pos.max())
-        return FpAtRecall(fp=0, tau=top + 1.0, recall=0.0)
+        # Above every score: + 1.0 is absorbed from |top| near 2**53 on.
+        tau = max(top + 1.0, math.nextafter(top, math.inf))
+        return FpAtRecall(fp=0, tau=tau, recall=0.0)
     # The smallest k with k/P >= target, as recall is computed: ceil(target
     # * P) is one too many when the product rounds up past an exact c/P.
     k = int(np.searchsorted(np.arange(len(pos) + 1) / len(pos), target))

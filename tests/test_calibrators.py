@@ -166,24 +166,50 @@ def rounded_problem(decimals):
                    np.round(rng.normal(0, 1, (5, 700)), decimals))
 
 
+def value_steps(values):
+    """Where the bits of a fitted value change: the steps a fit keeps."""
+    bits = values.view(np.int64)
+    return np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+
+
 @pytest.mark.parametrize("decimals", [1, 2, 12])
 def test_fit_isotonic_matches_unpooled_fit(decimals):
     prob = rounded_problem(decimals)
     for params, (xs, values) in zip(fit_isotonic(prob).maps,
                                     every_score_isotonic_maps(prob, unpooled_pava)):
-        # The reference compacted to its steps: where the bits of its value change.
-        bits = values.view(np.int64)
-        steps = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+        # The reference compacted to its steps.
+        steps = value_steps(values)
         assert params.breakpoints.tobytes() == xs[steps].tobytes()
         assert np.allclose(params.values, values[steps], rtol=0.0, atol=1e-15)
 
 
-def newton_sigmoid_reference(scores, targets):
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fit_isotonic_matches_stable_sort_bit_for_bit(seed):
+    # Six distinct scores, -0.0 and 0.0 among them, each shared by positives
+    # and negatives: every run of tied scores mixes both labels.
+    rng = np.random.default_rng(seed)
+    grid = np.array([-1.5, -0.25, -0.0, 0.0, 0.5, 2.0])
+    prob = Problem(rng.choice(grid, (4, 300), p=[0.1, 0.1, 0.15, 0.15, 0.2, 0.3]),
+                   rng.choice(grid, (4, 2000), p=[0.3, 0.2, 0.15, 0.15, 0.1, 0.1]))
+    scores = np.concatenate([prob.positive_scores, prob.negative_scores], axis=1)
+    # fit_isotonic's default argsort orders these ties unlike a stable one.
+    assert any((np.argsort(row) != np.argsort(row, kind="stable")).any() for row in scores)
+    for params, (xs, values) in zip(fit_isotonic(prob).maps,
+                                    every_score_isotonic_maps(prob, pava)):
+        steps = value_steps(values)
+        assert params.breakpoints.tobytes() == xs[steps].tobytes()
+        assert params.values.tobytes() == values[steps].tobytes()
+
+
+def newton_sigmoid_reference(scores, targets, steps=None):
     """The damped Newton fit run through all 60 halvings of every line
-    search; returns (a, b, exit), exit naming the test that ended it."""
+    search; returns (a, b, exit), exit naming the test that ended it.
+    Appends the (a, b) each Newton step starts from to steps, if given."""
     a, b = 0.0, 0.0
     f = sigmoid_nll(scores, targets, a, b)
     for _ in range(NEWTON_MAX_ITER):
+        if steps is not None:
+            steps.append((a, b))
         z = a * scores + b
         p = 1.0 / (1.0 + np.exp(np.clip(z, -500, 500)))
         residual = targets - p
@@ -243,6 +269,35 @@ def test_fit_sigmoid_matches_full_line_search():
             joint_exits.add(how)
     # the early return replaces the no-descent exit, so it must be exercised
     assert "no-descent" in joint_exits
+
+
+def scaled_sigmoid_problems():
+    """The fits of sigmoid_problems with scores at 1e3-1e6: all of them
+    scaled, or one positive moved far above the rest, so that iterates
+    cross the clip bound |a*s + b| = 500."""
+    for scale in (1e3, 1e4, 1e5, 1e6):
+        for scores, targets, _ in sigmoid_problems():
+            yield scores * scale, targets
+            outlier = scores.copy()
+            outlier[0] = scale
+            yield outlier, targets
+
+
+def test_fit_sigmoid_matches_full_line_search_on_both_clip_branches():
+    skipped = clipped = clip_changes_z = 0
+    for scores, targets in scaled_sigmoid_problems():
+        steps = []
+        a, b, _ = newton_sigmoid_reference(scores, targets, steps)
+        assert _fit_sigmoid(scores, targets) == (a, b)  # bit for bit
+        top = np.abs(scores).max()
+        for sa, sb in steps:
+            # The fit skips the clip exactly when this bound is at most 500.
+            if abs(sa) * top + abs(sb) <= 500:
+                skipped += 1
+            else:
+                clipped += 1
+                clip_changes_z += bool((np.abs(sa * scores + sb) > 500).any())
+    assert skipped and clipped and clip_changes_z
 
 
 def logaddexp_nll(scores, targets, a, b):

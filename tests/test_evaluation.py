@@ -51,6 +51,20 @@ def test_fp_at_recall_hand_case():
     assert zero.tau == 4.0  # above every sample score
 
 
+@pytest.mark.parametrize("pos, neg", [
+    ([1e17, 5.0], [0.0, 3.0]),        # top + 1.0 == top
+    ([-1e17, -3e17], [-2e17]),        # ... below zero too
+    ([2.0**53, 1.0], [0.0]),          # the first float where + 1.0 is absorbed
+])
+def test_fp_at_recall_zero_puts_tau_above_a_huge_top_score(pos, neg):
+    point = fp_at_recall(Problem(np.array([pos]), np.array([neg])), identity_model(), 0.0)
+    top = max(pos + neg)
+    assert point.tau == np.nextafter(top, np.inf)
+    # recall counts positives at or above tau, fp negatives above it: none of either.
+    assert (point.fp, point.recall) == (0, 0.0)
+    assert not any(s >= point.tau for s in pos + neg)
+
+
 def test_fp_at_recall_reaches_every_exact_recall():
     # A target of exactly c/P takes c positives, not c + 1, although
     # c/P * P can round up past c (7/25 * 25 does).
