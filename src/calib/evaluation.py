@@ -73,9 +73,11 @@ def _operating_point(pos: np.ndarray, neg: np.ndarray, method: str,
         raise ValidationError(f"target recall {target} outside [0, 1]")
     if target == 0.0:
         top = float(np.max(np.concatenate([pos, neg]))) if len(neg) else float(pos.max())
-        # Above every score: + 1.0 is absorbed from |top| near 2**53 on.
+        # Above every score: + 1.0 is absorbed from |top| near 2**53 on.  No
+        # float lies above an inf top, so recall is counted, not assumed 0.
         tau = max(top + 1.0, math.nextafter(top, math.inf))
-        return FpAtRecall(fp=0, tau=tau, recall=0.0)
+        recall = float(np.count_nonzero(pos >= tau)) / len(pos)
+        return FpAtRecall(fp=0, tau=tau, recall=recall)
     # The smallest k with k/P >= target, as recall is computed: ceil(target
     # * P) is one too many when the product rounds up past an exact c/P.
     k = int(np.searchsorted(np.arange(len(pos) + 1) / len(pos), target))

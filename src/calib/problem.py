@@ -85,9 +85,8 @@ class Problem:
         if pos.shape[1] < 1:
             raise ValidationError("no positives: P must be >= 1")
         for name, m in (("positive_scores", pos), ("negative_scores", neg)):
-            bad = ~np.isfinite(m)
-            if bad.any():
-                r, c = np.argwhere(bad)[0]
+            if not np.isfinite(m).all():
+                r, c = np.argwhere(~np.isfinite(m))[0]
                 raise ValidationError(
                     f"{name} contains a non-finite value at (row {r}, col {c})"
                 )

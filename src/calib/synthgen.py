@@ -30,6 +30,13 @@ cosine branch:  sqrt(-2 ln u0) * cos(2 pi u1)  (the sine twin is discarded).
 One generate() call consumes segments of the stream in a fixed order:
 centers, positive cluster assignments, positive offsets, negatives, score
 noise, planted pairs; segment lengths are functions of the spec alone.
+
+Block draws: as the stream length is known up front, generate() passes it to
+CounterRng, which evaluates the mix (and the uniforms) over min(_BLOCK_DRAWS,
+rest of the stream) counters at a time and serves every draw as a slice of
+that block, so a small spec's whole stream is one mix evaluation and no
+counter is evaluated twice.  Each output depends only on its counter, so the
+blocks change no bit.
 """
 
 from __future__ import annotations
@@ -46,29 +53,74 @@ from .problem import Problem
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-_U64 = np.uint64(2**64 - 1)
 
-# Counter positions drawn per block; caps each draw's temporaries.
+# Counter positions evaluated per block; caps each draw's temporaries.
 _BLOCK_DRAWS = 1 << 15
 # The most float64s one numpy array can hold: its byte size must fit an intp.
 _MAX_FLOAT64S = np.iinfo(np.intp).max // 8
+# No normal exceeds this in magnitude, as uniforms are clamped to >= 2^-53.
+_MAX_NORMAL = math.sqrt(-2.0 * math.log(2.0**-53))
+# The largest part of a score a spec may scale up to: sums of three such
+# parts, and their rounding, stay far below float64's 2^1024.
+_MAX_SCORE_PART = 2.0**1000
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """The SplitMix64 finaliser, in place; uint64 arithmetic wraps mod 2^64."""
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 class CounterRng:
     """SplitMix64 evaluated at an advancing counter; see module docstring.
 
-    Each call fills its output one block of _BLOCK_DRAWS counter positions
-    at a time, so its temporaries stay a fixed size whatever n is; every
-    output depends only on its own counter, so the block size changes no bit.
+    Outputs are evaluated one block of at most _BLOCK_DRAWS counter positions
+    at a time, raw words and uniforms together, and every draw slices the
+    current block, running on into the next one past its end, so no counter
+    is evaluated twice and temporaries stay a fixed size whatever n is.  A
+    block spans the rest of the ``length`` counters the owner means to draw
+    (capped at _BLOCK_DRAWS); with no length it spans the draw at hand.
+    Every output depends only on its own counter, so neither the block size
+    nor ``length`` changes a bit, and moving ``counter`` skips or rewinds.
     """
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, length: int = 0):
         self.seed = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
         self.counter = 0
+        self.length = length
+        # Outputs at counter positions start+1 .. start+len(words).
+        self._start = 0
+        self._words = self._units = np.empty(0)
+
+    def _take(self, n: int, units: bool) -> np.ndarray:
+        """The next n raw words (or uniforms): a view of the current block
+        when it holds them all, else a new array."""
+        pieces = []
+        while n:
+            i = self.counter - self._start
+            if not 0 <= i < len(self._words):
+                size = min(_BLOCK_DRAWS, max(n, self.length - self.counter))
+                idx = np.arange(self.counter + 1, self.counter + size + 1, dtype=np.uint64)
+                idx *= _GAMMA
+                idx += self.seed
+                self._start, self._words = self.counter, _mix(idx)
+                self._units = (self._words >> np.uint64(11)).astype(np.float64)
+                self._units *= 2.0**-53
+                i = 0
+            block = self._units if units else self._words
+            piece = block[i:i + n]
+            pieces.append(piece)
+            self.counter += len(piece)
+            n -= len(piece)
+        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
     def _fill(self, n: int, draws: int, draw, dtype=np.float64) -> np.ndarray:
-        """n outputs of draw(m), computed one block of at most _BLOCK_DRAWS
-        counter positions at a time; each output takes ``draws`` of them."""
+        """n outputs of draw(m), taken at most _BLOCK_DRAWS counter positions
+        at a time; each output takes ``draws`` of them."""
         out = np.empty(n, dtype=dtype)
         step = max(1, _BLOCK_DRAWS // draws)
         for lo in range(0, n, step):
@@ -76,30 +128,18 @@ class CounterRng:
             out[lo:hi] = draw(hi - lo)
         return out
 
-    def _raw(self, n: int) -> np.ndarray:
-        idx = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
-        self.counter += n
-        z = (self.seed + idx * _GAMMA) & _U64
-        z = ((z ^ (z >> np.uint64(30))) * _MIX1) & _U64
-        z = ((z ^ (z >> np.uint64(27))) * _MIX2) & _U64
-        return z ^ (z >> np.uint64(31))
-
-    def _uniform(self, n: int) -> np.ndarray:
-        return (self._raw(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-
     def _normal(self, n: int) -> np.ndarray:
-        u = self._uniform(2 * n)
+        u = self._take(2 * n, True)
         u0 = np.maximum(u[0::2], 2.0**-53)
-        u1 = u[1::2]
-        return np.sqrt(-2.0 * np.log(u0)) * np.cos(2.0 * math.pi * u1)
+        return np.sqrt(-2.0 * np.log(u0)) * np.cos(2.0 * math.pi * u[1::2])
 
     def raw(self, n: int) -> np.ndarray:
         """Next n 64-bit outputs, as uint64."""
-        return self._fill(n, 1, self._raw, np.uint64)
+        return self._fill(n, 1, lambda m: self._take(m, False), np.uint64)
 
     def uniform(self, n: int) -> np.ndarray:
         """n doubles in [0, 1) with 53-bit resolution."""
-        return self._fill(n, 1, self._uniform)
+        return self._fill(n, 1, lambda m: self._take(m, True))
 
     def normal(self, n: int) -> np.ndarray:
         """n standard normals (two uniforms each, cosine Box-Muller)."""
@@ -150,6 +190,9 @@ class GenerateSpec:
             raise InvalidSpec("num_negatives must be >= 0")
         if self.dimensions < 1:
             raise InvalidSpec("dimensions must be >= 1")
+        for name in ("spread", "noise", "hardness_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidSpec(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.spread < 0 or self.noise < 0:
             raise InvalidSpec("spread and noise must be nonnegative")
         if not 0.0 < self.split_fraction < 1.0:
@@ -170,6 +213,17 @@ class GenerateSpec:
         if samples * max(self.num_classifiers, self.dimensions) > _MAX_FLOAT64S:
             raise InvalidSpec("the train and held-out problems hold too many samples "
                               "for one float64 array")
+        # A score is center . sample + noise * normal, with |center| = 1 and
+        # |sample| at most 1 + spread * _MAX_NORMAL * sqrt(d) (hardness_scale
+        # for a planted positive), so bounding these parts keeps it finite.
+        for name, part in (
+            ("spread", self.spread * _MAX_NORMAL * math.sqrt(self.dimensions)),
+            ("noise", self.noise * _MAX_NORMAL),
+            ("hardness_scale", self.hardness_scale),
+        ):
+            if part > _MAX_SCORE_PART:
+                raise InvalidSpec(f"{name} {getattr(self, name)!r} would overflow "
+                                  "the float64 scores")
 
     def test_count(self, train_count: int) -> int:
         f = self.split_fraction
@@ -181,7 +235,8 @@ class GenerateSpec:
 
 def _unit_rows(m: np.ndarray) -> np.ndarray:
     """Scale each row of m to unit length in place (zero rows stay zero)."""
-    norms = np.linalg.norm(m, axis=1, keepdims=True)
+    # The bits np.linalg.norm(m, axis=1) gives, without its dispatch.
+    norms = np.sqrt(np.add.reduce(m * m, axis=1, keepdims=True))
     norms[norms == 0.0] = 1.0
     m /= norms
     return m
@@ -199,7 +254,8 @@ def generate(spec: GenerateSpec) -> tuple[Problem, Problem]:
     n_all = n_train + n_test
     M = p_all + n_all
 
-    rng = CounterRng(spec.seed)
+    k = spec.planted_count()
+    rng = CounterRng(spec.seed, 2 * E * d + p_all + 2 * M * d + 2 * E * M + 2 * k)
     centers = _unit_rows(rng.normal(E * d).reshape(E, d))
     assign = rng.integers(p_all, E)
     # One (M, d) array of samples, positives first.
@@ -211,8 +267,8 @@ def generate(spec: GenerateSpec) -> tuple[Problem, Problem]:
     # below, row block by row block; the planted pairs draw after it.
     noise_rng = copy.copy(rng)
     rng.counter += 2 * E * M
+    noise_rng.length = rng.counter
 
-    k = spec.planted_count()
     if k > 0:
         first = rng.integers(k, E)
         second = rng.integers(k, E - 1)
@@ -221,10 +277,14 @@ def generate(spec: GenerateSpec) -> tuple[Problem, Problem]:
         positives[p_train - k: p_train] = spec.hardness_scale * mid
 
     scores = centers @ samples.T
+    # Peak memory: drop the samples and the RNG blocks before the noise is
+    # added and Problem copies the four score slices.
+    del samples, positives, rng
     rows = max(1, _BLOCK_DRAWS // (2 * M))
     for lo in range(0, E, rows):
         hi = min(lo + rows, E)
         scores[lo:hi] += spec.noise * noise_rng.normal((hi - lo) * M).reshape(hi - lo, M)
+    del noise_rng
     pos_scores, neg_scores = scores[:, :p_all], scores[:, p_all:]
 
     meta = {

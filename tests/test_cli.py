@@ -103,6 +103,20 @@ def test_generate_split_too_small_for_an_array_exits_2(tmp_path, split):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--spread", "nan", "spread must be finite, got nan"),
+    ("--noise", "inf", "noise must be finite, got inf"),
+    ("--hardness-scale", "-inf", "hardness_scale must be finite, got -inf"),
+    ("--spread", "1e308", "spread 1e+308 would overflow the float64 scores"),
+])
+def test_generate_non_finite_or_overflowing_float_exits_2(tmp_path, option, value, message):
+    res = run("generate", *SMALL_ARGS, option, value, "--out", str(tmp_path / "p.json"))
+    assert res.returncode == 2
+    # One line, no numpy RuntimeWarning ahead of it.
+    assert res.stderr == f"calib generate: InvalidSpec: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_generate_out_of_memory_exits_2(tmp_path, monkeypatch, capsys):
     # --split 1e-12 asks for 14.6 TiB; a stand-in raises as numpy would.
     def generate(spec):

@@ -243,3 +243,11 @@ def test_fit_method_dispatch():
             fit_method(method, train)
     with pytest.raises(ValidationError):
         fit_method("platt-scaling", train)
+
+
+def test_fp_at_recall_zero_counts_a_positive_at_an_inf_top_score():
+    # 10 * 1e308 overflows to inf: no float lies above it, so tau is inf
+    # and the positive there is at or above it.
+    model = CalibrationModel("affine", (AffineParams(10.0, 0.0),))
+    point = fp_at_recall(Problem([[1e308, 1.0]], [[0.0]]), model, 0.0)
+    assert (point.fp, point.tau, point.recall) == (0, np.inf, 0.5)

@@ -338,7 +338,8 @@ def test_generate_memory_is_bounded():
     output = sum(m.nbytes for p in (train, test)
                  for m in (p.positive_scores, p.negative_scores))
     del train, test
-    assert traced_peak(generate, MID_SPEC) <= 3 * output
+    # The score matrix plus Problem's copies of its four slices: 2.0x.
+    assert traced_peak(generate, MID_SPEC) <= 2.25 * output
 
 
 def test_save_problem_memory_is_bounded(tmp_path):

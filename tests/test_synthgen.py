@@ -1,5 +1,7 @@
 """Counter RNG reference vectors and generator determinism."""
 
+import copy
+import hashlib
 import math
 from dataclasses import replace
 
@@ -95,7 +97,7 @@ def test_generate_deterministic():
     assert np.array_equal(a_test.negative_scores, b_test.negative_scores)
 
 
-@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize("block", [1, 2, 7, 64])
 def test_generate_does_not_depend_on_block_size(monkeypatch, block):
     spec = replace(BASE, hardness_fraction=0.5)  # every stream segment drawn
     whole = generate(spec)
@@ -178,3 +180,136 @@ def test_spec_too_large_for_an_array_is_invalid(bad):
     small = replace(BASE, seed=1, num_classifiers=2, num_positives=2, num_negatives=3)
     with pytest.raises(InvalidSpec):
         replace(small, **bad)
+
+
+# sha256 of the four matrices (train positives, train negatives, held-out
+# positives, held-out negatives) as generated by the per-draw-block stream
+# that preceded whole-stream blocks.  E30_SPEC's stream runs over several
+# blocks; SMALL_SPEC (a fuzz-small recipe) draws every segment, planted
+# pairs included, within one.
+E30_SPEC = GenerateSpec(seed=1, num_classifiers=30, num_positives=60, num_negatives=1500,
+                        dimensions=10, noise=0.15, spread=0.25,
+                        hardness_fraction=0.2, hardness_scale=0.65)
+SMALL_SPEC = GenerateSpec(seed=5, num_classifiers=4, num_positives=7, num_negatives=27,
+                          dimensions=8, spread=0.38273508513311516,
+                          noise=0.2719695724219792, hardness_fraction=0.5,
+                          hardness_scale=0.5572513070709038)
+PINNED_DIGESTS = {
+    E30_SPEC: (
+        "89907f288b03e82649ed297bc7f8b33b2587ea9d2213b7b70c21ad80750aeef7",
+        "75e50e3af0802228beeecd913c401c2e8f553c7f4501f87ba5bafb2e53bde839",
+        "5b6400c2477ab1c98bcaf5b48f09e58c55f515b5ac80213b6d0c197db7fc6f9b",
+        "0ae4579d01b1e45842c5738989047177395299377953d406974b19a49c201cfd",
+    ),
+    SMALL_SPEC: (
+        "15fc8a5ead40c446add4dd555a4bb8cd0bc42c0e9af21abbfeb8a5e1bd5ca36c",
+        "f00d69682e40f3743ccfe6acfe674cb9510a46a1d8b90c084daf12778b4d83c5",
+        "e0f374fd136cc6501e8c5643f3b5e403bcd770240640238a14d79d33f457ae0c",
+        "767131a16b51dabb4343523d06068d638f1fd05aee0c3a2b549066ce20e7584d",
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", list(PINNED_DIGESTS), ids=["e30", "small"])
+def test_generate_matches_pinned_digests(spec):
+    train, test = generate(spec)
+    got = tuple(hashlib.sha256(m.tobytes()).hexdigest() for m in (
+        train.positive_scores, train.negative_scores,
+        test.positive_scores, test.negative_scores))
+    assert got == PINNED_DIGESTS[spec]
+
+
+def test_generate_evaluates_the_mix_once_for_a_small_spec(monkeypatch):
+    calls = []
+
+    def counting_mix(z):
+        calls.append(len(z))
+        return mix(z)
+
+    mix = synthgen._mix
+    monkeypatch.setattr(synthgen, "_mix", counting_mix)
+    generate(SMALL_SPEC)
+    # One block spans the whole stream, planted pairs included: 2*E*d
+    # center, P' assignment, 2*M*d sample, 2*E*M noise and 2*k planted
+    # counters (E=4, d=8, P'=14, M=68, k=4).
+    assert calls == [64 + 14 + 1088 + 544 + 8]
+
+
+# Stream-length RNGs below run over blocks of 8 counters; each draw is
+# checked against the module docstring's formula in Python integers.
+STREAM = 30
+
+
+def splitmix64(seed, counter):
+    z = (seed + (counter + 1) * 0x9E3779B97F4A7C15) % 2**64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+    return z ^ (z >> 31)
+
+
+@pytest.fixture
+def reference():
+    return np.array([splitmix64(3, i) for i in range(STREAM)], dtype=np.uint64)
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(synthgen, "_BLOCK_DRAWS", 8)
+
+
+def test_draw_straddling_a_block_end_continues_the_stream(reference, small_blocks):
+    rng = CounterRng(3, STREAM)
+    assert rng.raw(5).tolist() == reference[:5].tolist()
+    assert rng.raw(6).tolist() == reference[5:11].tolist()  # crosses counter 8
+    assert rng.raw(19).tolist() == reference[11:].tolist()  # two more blocks
+    u = CounterRng(3, STREAM)
+    u.counter = 7
+    assert u.uniform(3).tolist() == ((reference[7:10] >> 11) * 2.0**-53).tolist()
+
+
+def test_counter_skip_past_the_block(reference, small_blocks):
+    rng = CounterRng(3, STREAM)
+    rng.raw(2)
+    rng.counter += 10  # beyond the block holding counters 0..7
+    assert rng.raw(4).tolist() == reference[12:16].tolist()
+    rng.counter = 1  # back into a block no longer held
+    assert rng.raw(3).tolist() == reference[1:4].tolist()
+
+
+def test_copy_of_a_buffered_rng_draws_independently(reference, small_blocks):
+    rng = CounterRng(3, STREAM)
+    first = rng.raw(3)
+    twin = copy.copy(rng)
+    first[:] = 0  # a draw is the caller's own array, not the shared block
+    assert rng.raw(10).tolist() == reference[3:13].tolist()
+    assert twin.raw(10).tolist() == reference[3:13].tolist()
+    twin.counter += 5
+    assert twin.raw(2).tolist() == reference[18:20].tolist()
+    assert rng.raw(2).tolist() == reference[13:15].tolist()
+
+
+@pytest.mark.parametrize("field", ["spread", "noise", "hardness_scale"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_spec_rejects_a_non_finite_float(field, value):
+    with pytest.raises(InvalidSpec, match=f"^{field} must be finite"):
+        replace(BASE, **{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("spread", 1e308), ("spread", 1e300), ("noise", 1e308), ("hardness_scale", 1e302),
+])
+def test_spec_rejects_a_float_that_overflows_the_scores(field, value):
+    with pytest.raises(InvalidSpec, match=f"^{field} .* would overflow"):
+        replace(BASE, **{field: value})
+
+
+def test_largest_accepted_floats_give_finite_scores():
+    # Each part just under its bound: the scores stay finite, with no numpy
+    # warning (Tier-1 turns warnings into errors).
+    top = 0.999 * synthgen._MAX_SCORE_PART
+    spec = replace(BASE, hardness_fraction=0.5,
+                   spread=top / synthgen._MAX_NORMAL / math.sqrt(5),
+                   noise=top / synthgen._MAX_NORMAL, hardness_scale=top)
+    for problem in generate(spec):
+        assert np.isfinite(problem.positive_scores).all()
+        assert np.isfinite(problem.negative_scores).all()
