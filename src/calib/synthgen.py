@@ -255,6 +255,7 @@ def generate(spec: GenerateSpec) -> tuple[Problem, Problem]:
     M = p_all + n_all
 
     k = spec.planted_count()
+    # Stream: centers, assignments, samples, score noise, planted pairs.
     rng = CounterRng(spec.seed, 2 * E * d + p_all + 2 * M * d + 2 * E * M + 2 * k)
     centers = _unit_rows(rng.normal(E * d).reshape(E, d))
     assign = rng.integers(p_all, E)
@@ -267,7 +268,7 @@ def generate(spec: GenerateSpec) -> tuple[Problem, Problem]:
     # below, row block by row block; the planted pairs draw after it.
     noise_rng = copy.copy(rng)
     rng.counter += 2 * E * M
-    noise_rng.length = rng.counter
+    noise_rng.length = rng.counter  # its blocks stop short of the planted pairs
 
     if k > 0:
         first = rng.integers(k, E)

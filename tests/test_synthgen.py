@@ -281,6 +281,8 @@ def test_copy_of_a_buffered_rng_draws_independently(reference, small_blocks):
     first = rng.raw(3)
     twin = copy.copy(rng)
     first[:] = 0  # a draw is the caller's own array, not the shared block
+    twin.counter = 0  # rewind within the block both hold
+    assert twin.raw(3).tolist() == reference[:3].tolist()
     assert rng.raw(10).tolist() == reference[3:13].tolist()
     assert twin.raw(10).tolist() == reference[3:13].tolist()
     twin.counter += 5
