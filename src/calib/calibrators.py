@@ -22,11 +22,9 @@ from .errors import (
 )
 from .problem import Problem, Solution, check_feasible
 from .problem import _json_list, _json_value, _read_json, _write_json
-from .synthgen import CounterRng
 
 NEWTON_MAX_ITER = 100
 NEWTON_GRAD_TOL = 1e-10
-AFFINE_SAMPLE_COUNT = 200_000
 
 
 # ---------------------------------------------------------------------------
@@ -418,28 +416,15 @@ def fit_isotonic(problem: Problem) -> CalibrationModel:
 # ---------------------------------------------------------------------------
 
 
-def fit_affine(
-    problem: Problem,
-    sample_count: int = AFFINE_SAMPLE_COUNT,
-    seed: int = 0,
-) -> CalibrationModel:
+def fit_affine(problem: Problem) -> CalibrationModel:
     """Standardize each classifier's negative-score distribution.
 
-    calibrated = (s - mean_neg) / std_neg, with moments taken over up to
-    sample_count negatives (drawn with replacement by the seeded counter
-    generator when the problem has more).  Raises DegenerateVariance when
-    the sampled negatives are constant or their mean or std is not finite,
-    and ValidationError when sample_count is below 1.
+    calibrated = (s - mean_neg) / std_neg, with moments taken over every
+    negative.  Raises DegenerateVariance when the negatives are constant or
+    their mean or std is not finite.
     """
-    if sample_count < 1:
-        raise ValidationError(f"sample_count must be at least 1, got {sample_count}")
-    rng = CounterRng(seed)
-    n = problem.num_negatives
     maps = []
-    for j in range(problem.num_classifiers):
-        neg = problem.negative_scores[j]
-        if n > sample_count:
-            neg = neg[rng.integers(sample_count, n)]
+    for j, neg in enumerate(problem.negative_scores):
         if len(neg) == 0:
             raise DegenerateVariance(f"classifier {j} has no negatives to fit on")
         with np.errstate(over="ignore", invalid="ignore"):

@@ -17,7 +17,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .calibrators import AFFINE_SAMPLE_COUNT, JOINT_METHODS, METHODS, load_model, save_model
+from .calibrators import JOINT_METHODS, METHODS, load_model, save_model
 from .errors import CalibError, InvalidSpec, ParseError, TooLarge
 from .evaluation import (
     _average_precision,
@@ -137,8 +137,6 @@ def _build_parser() -> argparse.ArgumentParser:
     calibrate.add_argument("--method", required=True, choices=METHODS)
     calibrate.add_argument("--solution", help="solution file for joint methods")
     calibrate.add_argument("--cutoff", type=float, default=-1.0)
-    calibrate.add_argument("--sample-count", type=int, default=AFFINE_SAMPLE_COUNT)
-    calibrate.add_argument("--seed", type=int, default=0)
     calibrate.add_argument("--out", required=True)
 
     evaluate = sub.add_parser("evaluate", help="score a model on a held-out problem")
@@ -253,8 +251,7 @@ def _cmd_calibrate(args) -> int:
                   "--solution", file=sys.stderr)
             return EXIT_USAGE
         solution = load_solution(args.solution)
-    model = fit_method(args.method, problem, solution, cutoff=args.cutoff,
-                       sample_count=args.sample_count, seed=args.seed)
+    model = fit_method(args.method, problem, solution, cutoff=args.cutoff)
     save_model(model, args.out)
     if model.degenerate:
         log.info("degenerate classifiers: %s",

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibrators import (
-    AFFINE_SAMPLE_COUNT,
     JOINT_METHODS,
     CalibrationModel,
     ensemble_scores,
@@ -171,13 +170,11 @@ def fit_method(
     solution: Solution | None = None,
     *,
     cutoff: float = -1.0,
-    sample_count: int = AFFINE_SAMPLE_COUNT,
-    seed: int = 0,
 ) -> CalibrationModel:
     """Fit one of calibrators.METHODS on train.
 
     The joint methods need a solution of train.  cutoff applies to
-    independent-sigmoid, sample_count and seed to affine.  Each fit_* is
+    independent-sigmoid.  Each fit_* is
     called through this module's name for it, so a wrapper installed there
     sees every fit.
     """
@@ -190,7 +187,7 @@ def fit_method(
     if method == "isotonic":
         return fit_isotonic(train)
     if method == "affine":
-        return fit_affine(train, sample_count=sample_count, seed=seed)
+        return fit_affine(train)
     if method == "joint-thresholds":
         return fit_joint_thresholds(train, solution)
     raise ValidationError(f"unknown method {method!r}")

@@ -318,11 +318,11 @@ def _write_json(doc: dict, path) -> None:
 # The JSON types each kind of field accepts.  Types match exactly, so true
 # and false (Python ints) are neither numbers nor counts.
 _JSON_KINDS = {float: ({int, float}, "a number"), int: ({int}, "an integer"),
-               bool: ({bool}, "true or false")}
+               bool: ({bool}, "true or false"), str: ({str}, "a string")}
 
 
 def _json_value(value, kind: type, where: str):
-    """value read from JSON as kind (float, int or bool); else ParseError."""
+    """value read from JSON as kind (float, int, bool or str); else ParseError."""
     types, name = _JSON_KINDS[kind]
     if type(value) not in types:
         raise ParseError(f"{where} must be {name}, got {value!r}")
@@ -367,9 +367,7 @@ def _matrix_from_doc(doc: dict, key: str, num_rows: int) -> np.ndarray:
 
 def _ids_from_doc(doc: dict, key: str) -> tuple | None:
     ids = doc.get(key)
-    if ids is not None and not isinstance(ids, list):
-        raise ParseError(f"field {key!r} is not an array")
-    return None if ids is None else tuple(ids)
+    return None if ids is None else tuple(_json_list(ids, str, key))
 
 
 def load_problem(path) -> Problem:

@@ -32,16 +32,16 @@ centers, positive cluster assignments, positive offsets, negatives, score
 noise, planted pairs; segment lengths are functions of the spec alone.
 
 Block draws: as the stream length is known up front, generate() passes it to
-CounterRng, which evaluates the mix (and the uniforms) over min(_BLOCK_DRAWS,
-rest of the stream) counters at a time and serves every draw as a slice of
-that block, so a small spec's whole stream is one mix evaluation and no
-counter is evaluated twice.  Each output depends only on its counter, so the
-blocks change no bit.
+CounterRng, which evaluates the uniforms over min(_BLOCK_DRAWS, rest of the
+stream) counters at a time and serves every draw as a slice of that block, so
+a small spec's whole stream is one mix evaluation.  generate() draws from one
+CounterRng: it skips the score noise, draws the planted pairs, then sets the
+counter back to the noise segment.  Each output depends only on its counter,
+so neither the blocks nor the rewind change a bit.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -78,50 +78,50 @@ def _mix(z: np.ndarray) -> np.ndarray:
 class CounterRng:
     """SplitMix64 evaluated at an advancing counter; see module docstring.
 
-    Outputs are evaluated one block of at most _BLOCK_DRAWS counter positions
-    at a time, raw words and uniforms together, and every draw slices the
-    current block, running on into the next one past its end, so no counter
-    is evaluated twice and temporaries stay a fixed size whatever n is.  A
-    block spans the rest of the ``length`` counters the owner means to draw
-    (capped at _BLOCK_DRAWS); with no length it spans the draw at hand.
-    Every output depends only on its own counter, so neither the block size
-    nor ``length`` changes a bit, and moving ``counter`` skips or rewinds.
+    Uniforms are evaluated one block of at most _BLOCK_DRAWS counter
+    positions at a time, and every draw slices the current block, running on
+    into the next one past its end, so temporaries stay a fixed size whatever
+    n is.  A block spans the rest of the ``length`` counters the owner means
+    to draw (capped at _BLOCK_DRAWS); with no length it spans the draw at
+    hand.  Every output depends only on its own counter, so neither the block
+    size nor ``length`` changes a bit, and moving ``counter`` skips or
+    rewinds: a counter still in the current block is served from it, any
+    other starts a new block.
     """
 
     def __init__(self, seed: int, length: int = 0):
         self.seed = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
         self.counter = 0
         self.length = length
-        # Outputs at counter positions start+1 .. start+len(words).
+        # Uniforms at counter positions start+1 .. start+len(units).
         self._start = 0
-        self._words = self._units = np.empty(0)
+        self._units = np.empty(0)
 
-    def _take(self, n: int, units: bool) -> np.ndarray:
-        """The next n raw words (or uniforms): a view of the current block
-        when it holds them all, else a new array."""
+    def _take(self, n: int) -> np.ndarray:
+        """The next n uniforms: a view of the current block when it holds
+        them all, else a new array."""
         pieces = []
         while n:
             i = self.counter - self._start
-            if not 0 <= i < len(self._words):
+            if not 0 <= i < len(self._units):
                 size = min(_BLOCK_DRAWS, max(n, self.length - self.counter))
                 idx = np.arange(self.counter + 1, self.counter + size + 1, dtype=np.uint64)
                 idx *= _GAMMA
                 idx += self.seed
-                self._start, self._words = self.counter, _mix(idx)
-                self._units = (self._words >> np.uint64(11)).astype(np.float64)
+                self._start = self.counter
+                self._units = (_mix(idx) >> np.uint64(11)).astype(np.float64)
                 self._units *= 2.0**-53
                 i = 0
-            block = self._units if units else self._words
-            piece = block[i:i + n]
+            piece = self._units[i:i + n]
             pieces.append(piece)
             self.counter += len(piece)
             n -= len(piece)
         return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
-    def _fill(self, n: int, draws: int, draw, dtype=np.float64) -> np.ndarray:
+    def _fill(self, n: int, draws: int, draw) -> np.ndarray:
         """n outputs of draw(m), taken at most _BLOCK_DRAWS counter positions
         at a time; each output takes ``draws`` of them."""
-        out = np.empty(n, dtype=dtype)
+        out = np.empty(n)
         step = max(1, _BLOCK_DRAWS // draws)
         for lo in range(0, n, step):
             hi = min(lo + step, n)
@@ -129,17 +129,13 @@ class CounterRng:
         return out
 
     def _normal(self, n: int) -> np.ndarray:
-        u = self._take(2 * n, True)
+        u = self._take(2 * n)
         u0 = np.maximum(u[0::2], 2.0**-53)
         return np.sqrt(-2.0 * np.log(u0)) * np.cos(2.0 * math.pi * u[1::2])
 
-    def raw(self, n: int) -> np.ndarray:
-        """Next n 64-bit outputs, as uint64."""
-        return self._fill(n, 1, lambda m: self._take(m, False), np.uint64)
-
     def uniform(self, n: int) -> np.ndarray:
         """n doubles in [0, 1) with 53-bit resolution."""
-        return self._fill(n, 1, lambda m: self._take(m, True))
+        return self._fill(n, 1, self._take)
 
     def normal(self, n: int) -> np.ndarray:
         """n standard normals (two uniforms each, cosine Box-Muller)."""
@@ -265,10 +261,9 @@ def generate(spec: GenerateSpec) -> tuple[Problem, Problem]:
     positives[:] = centers[assign] + spec.spread * rng.normal(p_all * d).reshape(p_all, d)
     samples[p_all:] = _unit_rows(rng.normal(n_all * d).reshape(n_all, d))
     # The score noise comes next in the stream but is added to the scores
-    # below, row block by row block; the planted pairs draw after it.
-    noise_rng = copy.copy(rng)
+    # below, row block by row block, after the planted pairs that follow it.
+    noise_at = rng.counter
     rng.counter += 2 * E * M
-    noise_rng.length = rng.counter  # its blocks stop short of the planted pairs
 
     if k > 0:
         first = rng.integers(k, E)
@@ -278,14 +273,15 @@ def generate(spec: GenerateSpec) -> tuple[Problem, Problem]:
         positives[p_train - k: p_train] = spec.hardness_scale * mid
 
     scores = centers @ samples.T
-    # Peak memory: drop the samples and the RNG blocks before the noise is
-    # added and Problem copies the four score slices.
-    del samples, positives, rng
+    # Peak memory: drop the samples before the noise is added and Problem
+    # copies the four score slices.
+    del samples, positives
+    rng.counter = noise_at
     rows = max(1, _BLOCK_DRAWS // (2 * M))
     for lo in range(0, E, rows):
         hi = min(lo + rows, E)
-        scores[lo:hi] += spec.noise * noise_rng.normal((hi - lo) * M).reshape(hi - lo, M)
-    del noise_rng
+        scores[lo:hi] += spec.noise * rng.normal((hi - lo) * M).reshape(hi - lo, M)
+    del rng
     pos_scores, neg_scores = scores[:, :p_all], scores[:, p_all:]
 
     meta = {

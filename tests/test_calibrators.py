@@ -465,14 +465,13 @@ def test_affine_standardizes_negatives():
         assert model.maps[j].a > 0
 
 
-def test_affine_subsamples_large_problems():
+def test_affine_takes_moments_over_every_negative():
+    # Above 200,000 negatives the moments are still those of the full rows.
     rng = np.random.default_rng(1)
-    prob = Problem(rng.normal(2, 1, (1, 3)), rng.normal(0, 2, (1, 500)))
-    a = fit_affine(prob, sample_count=64, seed=5)
-    b = fit_affine(prob, sample_count=64, seed=5)
-    assert a.maps[0] == b.maps[0]  # seeded subsample is reproducible
-    cal = a.maps[0](prob.negative_scores[0])
-    assert abs(cal.mean()) < 0.5  # sampled moments approximate the full set
+    prob = Problem(rng.normal(2, 1, (2, 3)), rng.normal(0, 2, (2, 200_001)))
+    expected = tuple(AffineParams(a=1.0 / row.std(), b=-row.mean() / row.std())
+                     for row in prob.negative_scores)
+    assert fit_affine(prob).maps == expected
 
 
 def test_affine_degenerate_variance():

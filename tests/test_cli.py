@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +27,7 @@ from conftest import NOT_RFC_8259, small_problem
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
+README = SRC.parent / "README.md"
 GOLDEN = DATA / "golden_problem.json"
 GOLDEN_ARGS = [
     "--seed", "1", "--classifiers", "2", "--positives", "3", "--negatives", "6",
@@ -35,15 +37,19 @@ GOLDEN_LOSS = 3
 GOLDEN_THRESHOLDS = (-0.003940885462975628, 0.6517463410832167)
 
 
-def run(*argv, env_log="quiet"):
+def child_env(env_log="quiet"):
     # A minimal environment keeps an inherited CALIB_LOG out of the child;
     # PYTHONPATH puts this checkout's src first, ahead of any installed calib.
     pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {"PATH": "/usr/bin:/bin", "CALIB_LOG": env_log, "PYTHONPATH": pythonpath}
+
+
+def run(*argv, env_log="quiet"):
     return subprocess.run(
         [sys.executable, "-m", "calib", *argv],
         capture_output=True,
         text=True,
-        env={"PATH": "/usr/bin:/bin", "CALIB_LOG": env_log, "PYTHONPATH": pythonpath},
+        env=child_env(env_log),
     )
 
 
@@ -64,6 +70,19 @@ def test_help_exits_0():
     assert res.returncode == 0
     for verb in ("generate", "solve", "oracle", "calibrate", "evaluate", "bench"):
         assert verb in res.stdout
+
+
+def readme_cli_quick_start():
+    """The first fenced bash block under the README's "Quick start (CLI)"."""
+    section = README.read_text(encoding="utf-8").split("## Quick start (CLI)\n", 1)[1]
+    return section.split("```bash\n", 1)[1].split("\n```", 1)[0]
+
+
+def test_readme_cli_quick_start_runs(tmp_path):
+    shim = f'calib() {{ {shlex.quote(sys.executable)} -m calib "$@"; }}\n'
+    res = subprocess.run(["bash", "-e", "-c", shim + readme_cli_quick_start()],
+                         cwd=tmp_path, capture_output=True, text=True, env=child_env())
+    assert res.returncode == 0, res.stderr
 
 
 def test_generate_reproduces_golden_bytes(tmp_path):
@@ -289,6 +308,9 @@ ISOTONIC = {"kind": "isotonic", "breakpoints": [0.0, 1.0], "values": [0.25, 0.5]
 # Per case: the kind of file and the fields that replace a valid one's.
 MALFORMED = {
     "problem": ("problem", {"positive_ids": 5}),
+    "problem-number-id": ("problem", {"positive_ids": ["a", 1, "c"]}),
+    "problem-null-id": ("problem", {"positive_ids": ["a", "b", None]}),
+    "problem-bool-id": ("problem", {"negative_ids": [True, "b", "c", "d", "e", "f"]}),
     "problem-bool-version": ("problem", {"version": True}),
     "problem-bool-count": ("problem", {"num_classifiers": True, "positive_scores": [[0.5]],
                                        "negative_scores": [[0.1]]}),
@@ -388,10 +410,8 @@ def test_calibrate_all_methods(tmp_path, method):
 
 
 @pytest.mark.parametrize("method,option,value,name", [
-    ("affine", "--sample-count", "0", "sample_count"),
-    ("affine", "--sample-count", "-3", "sample_count"),
     ("independent-sigmoid", "--cutoff", "nan", "cutoff"),
-], ids=["zero-samples", "negative-samples", "nan-cutoff"])
+], ids=["nan-cutoff"])
 def test_calibrate_bad_argument_exits_2(tmp_path, method, option, value, name):
     out = tmp_path / "m.json"
     res = run("calibrate", str(GOLDEN), "--method", method, option, value, "--out", str(out))
@@ -399,6 +419,16 @@ def test_calibrate_bad_argument_exits_2(tmp_path, method, option, value, name):
     assert f"ValidationError: {name}" in res.stderr
     assert "Traceback" not in res.stderr
     assert not out.exists()
+
+
+def test_calibrate_has_no_sampling_options(tmp_path):
+    out = tmp_path / "m.json"
+    for option in ("--sample-count", "--seed"):
+        res = run("calibrate", str(GOLDEN), "--method", "affine", option, "5",
+                  "--out", str(out))
+        assert res.returncode == 1, option
+        assert "unrecognized arguments" in res.stderr
+        assert not out.exists()
 
 
 def test_calibrate_affine_overflowing_moments_exits_2(tmp_path):

@@ -12,7 +12,6 @@ from calib import (
     ValidationError,
     average_precision,
     compare_methods,
-    fit_affine,
     fit_independent_sigmoid,
     fit_joint_thresholds,
     fit_method,
@@ -232,9 +231,6 @@ def test_fit_method_dispatch():
     for method in METHODS:
         assert fit_method(method, train, solution).method == method
     # keyword options reach the fit they belong to
-    assert fit_method("affine", train, sample_count=16, seed=3) == fit_affine(
-        train, sample_count=16, seed=3
-    )
     assert fit_method("independent-sigmoid", train, cutoff=0.0) == (
         fit_independent_sigmoid(train, cutoff=0.0)
     )

@@ -164,6 +164,23 @@ def test_metadata_must_map_strings_to_strings(metadata):
                 metadata=metadata)
 
 
+@pytest.mark.parametrize("ids, named", [
+    ([1], r"positive_ids\[0\] must be a string, got 1$"),
+    ([None], r"positive_ids\[0\] must be a string, got None$"),
+    ([True], r"positive_ids\[0\] must be a string, got True$"),
+    (["a", 1.5], r"positive_ids\[1\] must be a string, got 1.5$"),
+    ([1, "1"], r"positive_ids\[0\] must be a string, got 1$"),
+], ids=["number", "null", "bool", "float", "number-and-string"])
+def test_file_ids_must_be_strings(tmp_path, ids, named):
+    with pytest.raises(ParseError, match=named):
+        load_problem_from(tmp_path, {"positive_scores": [[0.5] * len(ids)], "positive_ids": ids})
+
+
+def test_library_turns_ids_into_strings():
+    p = Problem(np.zeros((1, 3)), np.zeros((1, 1)), positive_ids=[1, None, True])
+    assert p.positive_ids == ("1", "None", "True")
+
+
 @pytest.mark.parametrize("key", ["positive_ids", "negative_ids"])
 def test_empty_id_array_is_a_length_error(tmp_path, key):
     with pytest.raises(ValidationError, match=f"{key} has 0 entries, expected 1"):

@@ -10,7 +10,7 @@ import pytest
 
 from calib import CounterRng, GenerateSpec, InvalidSpec, generate, synthgen
 
-# Reference outputs of the SplitMix64 mix at counters 1..3.  Independently
+# Reference outputs of the SplitMix64 mix at counters 0..2.  Independently
 # derived from the published constants (gamma 0x9E3779B97F4A7C15, multipliers
 # 0xBF58476D1CE4E5B9 / 0x94D049BB133111EB, shifts 30/27/31).
 RAW_VECTORS = {
@@ -22,15 +22,18 @@ RAW_VECTORS = {
 
 @pytest.mark.parametrize("seed,expected", sorted(RAW_VECTORS.items()))
 def test_raw_reference_vectors(seed, expected):
-    assert CounterRng(seed).raw(3).tolist() == list(expected)
+    counters = np.arange(1, 4, dtype=np.uint64) * synthgen._GAMMA + np.uint64(seed)
+    assert synthgen._mix(counters).tolist() == list(expected)
 
 
 def test_raw_streaming_is_counter_based():
-    a = CounterRng(7)
+    # The raw words, seen through their uniforms, do not depend on how the
+    # draws split the stream.
+    whole = CounterRng(7).uniform(6)
     b = CounterRng(7)
-    whole = a.raw(6)
-    parts = np.concatenate([b.raw(2), b.raw(1), b.raw(3)])
-    assert np.array_equal(whole, parts)
+    parts = np.concatenate([b.uniform(2), b.uniform(1), b.uniform(3)])
+    assert whole.tobytes() == parts.tobytes()
+    assert whole.tolist() == [unit(splitmix64(7, i)) for i in range(6)]
 
 
 def test_uniform_derivation_and_range():
@@ -247,9 +250,14 @@ def splitmix64(seed, counter):
     return z ^ (z >> 31)
 
 
+def unit(word):
+    """The uniform the module docstring derives from one 64-bit output."""
+    return (word >> 11) * 2.0**-53
+
+
 @pytest.fixture
 def reference():
-    return np.array([splitmix64(3, i) for i in range(STREAM)], dtype=np.uint64)
+    return [unit(splitmix64(3, i)) for i in range(STREAM)]
 
 
 @pytest.fixture
@@ -259,35 +267,37 @@ def small_blocks(monkeypatch):
 
 def test_draw_straddling_a_block_end_continues_the_stream(reference, small_blocks):
     rng = CounterRng(3, STREAM)
-    assert rng.raw(5).tolist() == reference[:5].tolist()
-    assert rng.raw(6).tolist() == reference[5:11].tolist()  # crosses counter 8
-    assert rng.raw(19).tolist() == reference[11:].tolist()  # two more blocks
+    assert rng.uniform(5).tolist() == reference[:5]
+    assert rng.uniform(6).tolist() == reference[5:11]  # crosses counter 8
+    assert rng.uniform(19).tolist() == reference[11:]  # two more blocks
     u = CounterRng(3, STREAM)
     u.counter = 7
-    assert u.uniform(3).tolist() == ((reference[7:10] >> 11) * 2.0**-53).tolist()
+    assert u.uniform(3).tolist() == reference[7:10]
 
 
 def test_counter_skip_past_the_block(reference, small_blocks):
     rng = CounterRng(3, STREAM)
-    rng.raw(2)
+    rng.uniform(2)
     rng.counter += 10  # beyond the block holding counters 0..7
-    assert rng.raw(4).tolist() == reference[12:16].tolist()
+    assert rng.uniform(4).tolist() == reference[12:16]
     rng.counter = 1  # back into a block no longer held
-    assert rng.raw(3).tolist() == reference[1:4].tolist()
+    assert rng.uniform(3).tolist() == reference[1:4]
+    rng.counter = 5  # rewind within the block just drawn from
+    assert rng.uniform(2).tolist() == reference[5:7]
 
 
 def test_copy_of_a_buffered_rng_draws_independently(reference, small_blocks):
     rng = CounterRng(3, STREAM)
-    first = rng.raw(3)
+    first = rng.uniform(3)
     twin = copy.copy(rng)
     first[:] = 0  # a draw is the caller's own array, not the shared block
     twin.counter = 0  # rewind within the block both hold
-    assert twin.raw(3).tolist() == reference[:3].tolist()
-    assert rng.raw(10).tolist() == reference[3:13].tolist()
-    assert twin.raw(10).tolist() == reference[3:13].tolist()
+    assert twin.uniform(3).tolist() == reference[:3]
+    assert rng.uniform(10).tolist() == reference[3:13]
+    assert twin.uniform(10).tolist() == reference[3:13]
     twin.counter += 5
-    assert twin.raw(2).tolist() == reference[18:20].tolist()
-    assert rng.raw(2).tolist() == reference[13:15].tolist()
+    assert twin.uniform(2).tolist() == reference[18:20]
+    assert rng.uniform(2).tolist() == reference[13:15]
 
 
 @pytest.mark.parametrize("field", ["spread", "noise", "hardness_scale"])
