@@ -10,15 +10,21 @@ d >= 1, packs the negatives scoring strictly above the candidate at
 ``live[d - 1]``, under the rule ``compute_loss`` uses; ``rows[j, 0]`` is the
 empty row of the tightest candidate, position 0.  That is E x (L + 1) x
 ceil(N/64) x 8 bytes for L live positives, packed by
-``thresholds.packed_above`` as the oracle's masks are.  An edge to row d
-newly covers ``rows[j, d] & ~fp``, so one vectorized call prices every
-child of a node, and equal sets are byte-equal.
+``thresholds.packed_above`` as the oracle's masks are.
 
 Positives need no bits: positive p is covered once some classifier j has
 reached ``cover_position[j, p]``, its first candidate strictly below p's
 score, so coverage is read off the current positions.  At the root,
 covering p through classifier j concedes ``cost[j, p]`` negatives, the
 candidate's count in ``CandidateGrid.conceded``.
+
+A search node is one step over its level's row d.  ``peek_edge`` first
+tests the level's positive against every position; if it is not yet
+covered, every edge lowers its classifier, and one vectorized call prices
+all of them as unions ``rows[j, d] | fp`` and their popcounts, the
+children's false-positive totals.  Packed bits are canonical, so equal
+unions are byte-equal.  ``apply_edge`` enters one child with the total
+already priced, and ORs its row into a new set without recounting it.
 """
 
 from __future__ import annotations
@@ -62,29 +68,37 @@ class CoverState:
         # (classifier, old position, previous fp, previous fp_count)
         self.journal: list[tuple[int, int, np.ndarray, int]] = []
 
-    def peek_edge(self, classifier, row) -> tuple[np.ndarray, np.ndarray]:
-        """Loss increase and newly covered negatives of edges, unapplied.
+    def peek_edge(self, classifier, row) -> tuple[np.ndarray, np.ndarray] | None:
+        """False-positive totals and packed unions ``rows[j, row] | fp`` of edges, unapplied.
 
-        Takes one classifier and row, or equal-length arrays of them (or a
-        slice of classifiers and one row) and then returns one loss increase
-        and one packed row per edge.
+        ``peek_edge(slice(None), row)`` takes a level, every classifier's
+        edge to one row, and returns None once some classifier has reached
+        its target: the level's positive is covered.  One classifier and
+        row, or equal-length arrays of them, raise MonotonicityViolation for
+        a target tighter than the current position.
         """
         cur = self.positions[classifier]
         target = self.row_position[classifier, row]
-        if (target < cur).any():
+        if isinstance(classifier, slice):
+            reached = cur >= target
+            if reached[reached.argmax()]:
+                return None
+        elif (target < cur).any():
             raise MonotonicityViolation(
                 f"classifier {classifier}: target position {target} is tighter "
                 f"than current {cur}"
             )
-        newly = self.rows[classifier, row] & ~self.fp
-        return np.bitwise_count(newly).sum(-1), newly
+        unions = self.rows[classifier, row] | self.fp
+        return np.add.reduce(np.bitwise_count(unions), axis=-1), unions
 
-    def apply_edge(self, classifier: int, row: int) -> int:
+    def apply_edge(self, classifier: int, row: int, total: int) -> None:
         """Lower one classifier's threshold to the candidate of one of its rows.
 
-        Returns the new total false-positive count.  Raises
-        MonotonicityViolation if that candidate is tighter than the current
-        position; a no-op edge (same position) is journaled like any other.
+        ``total`` is the edge's false-positive total as ``peek_edge`` priced
+        it at this state, and becomes ``fp_count`` without a recount.
+        Raises MonotonicityViolation if the candidate is tighter than the
+        current position; a no-op edge (same position) is journaled like
+        any other.
         """
         old = self.positions.item(classifier)
         target = self.row_position.item(classifier, row)
@@ -96,9 +110,8 @@ class CoverState:
         # A new array each time, so the journal keeps the previous one as is.
         self.journal.append((classifier, old, self.fp, self.fp_count))
         self.fp = self.fp | self.rows[classifier, row]
-        self.fp_count = int(np.bitwise_count(self.fp).sum())
+        self.fp_count = total
         self.positions[classifier] = target
-        return self.fp_count
 
     def undo_edge(self) -> None:
         """Exact inverse of the most recent apply_edge."""

@@ -6,7 +6,8 @@ enough to cover that level's positive.  Every leaf is a feasible
 configuration; depth-first traversal with an incumbent bound, sibling
 equivalence elimination, root depth reduction, and difficulty-first level
 ordering makes the exhaustive version tractable.  A node's children are
-priced from its level's rows in the CoverState, and a positive's difficulty
+priced as false-positive totals from its level's row in the CoverState, in
+the same call that finds a pass-through node, and a positive's difficulty
 is read off the root CoverState's cover costs.  A local search
 improves each new incumbent before it is recorded, so the bound prunes
 against a better one.
@@ -241,10 +242,10 @@ def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solut
     state = CoverState(problem, grid)
     levels, root_covered, root_bound = plan_tree(state, options)
     h = len(levels)
-    # Row p holds every classifier's cover position of positive p, contiguous.
-    cover_by_level = np.ascontiguousarray(state.cover_position.T)
-    # The search branches only on live positives; each one's row in state.rows.
+    # Each level's row in state.rows.  A positive covered at the root has
+    # none and takes row 0, whose position 0 every classifier has reached.
     row_of = dict(zip(state.live.tolist(), range(1, len(state.live) + 1)))
+    level_rows = [row_of.get(p, 0) for p in levels]
 
     stats = SearchStats(levels=h)
     stats.positives_removed_by_root = len(root_covered)
@@ -266,32 +267,31 @@ def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solut
             return True
         return False
 
-    def plan_children(row: int) -> tuple[list[int], list[int], int]:
-        """Increments and classifiers of the children, in (inc, j) order, and their row."""
-        # Every classifier's edge at once, from views of the state's arrays.
-        incs, newly = state.peek_edge(slice(None), row)
-        order = incs.argsort(kind="stable")
-        incs = incs[order]
+    def plan_children(totals: np.ndarray, unions: np.ndarray) -> tuple[list[int], list[int]]:
+        """False-positive totals and classifiers of the children, in (total, j) order."""
+        order = totals.argsort(kind="stable")
+        totals = totals[order]
         if options.enable_prune_equivalence:
-            # Equal sets have equal increments, so only a run of tied
-            # increments can hold one; the first of each set is kept.
-            # Packed bits are canonical, so byte equality is exact set equality.
+            # Equal unions at one node are equal newly covered sets, and
+            # have equal totals, so only a run of tied totals can hold one;
+            # the first of each set is kept.  Packed bits are canonical, so
+            # byte equality is exact set equality.
             dropped: list[int] = []
             run_end = -1
-            for k in (incs[1:] == incs[:-1]).nonzero()[0].tolist():
+            for k in (totals[1:] == totals[:-1]).nonzero()[0].tolist():
                 # Child k + 1 ties with child k, in the run ending at k or a new one.
                 if k != run_end:
-                    seen = {newly[order[k]].tobytes()}
+                    seen = {unions[order[k]].tobytes()}
                 run_end = k + 1
-                key = newly[order[run_end]].tobytes()
+                key = unions[order[run_end]].tobytes()
                 if key in seen:
                     dropped.append(run_end)
                 else:
                     seen.add(key)
             if dropped:
                 stats.nodes_pruned_equivalence += len(dropped)
-                order, incs = np.delete(order, dropped), np.delete(incs, dropped)
-        return incs.tolist(), order.tolist(), row
+                order, totals = np.delete(order, dropped), np.delete(totals, dropped)
+        return totals.tolist(), order.tolist()
 
     def record_leaf() -> None:
         """Make the current leaf, improved by local search, the incumbent."""
@@ -310,8 +310,9 @@ def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solut
     def enter(depth: int) -> bool:
         """Visit a node and the pass-through nodes below it; False once a budget has fired.
 
-        A pass-through node's positive is already covered, so its one child
-        is visited in this loop.  A node with children pushes their frame,
+        One peek_edge call per node either finds its positive already
+        covered, a pass-through whose one child is visited in this loop, or
+        prices the children.  A node with children pushes their frame,
         planned in full, so a budget firing below still counts every
         equivalence prune.
         """
@@ -323,35 +324,35 @@ def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solut
                 if best_loss is None or state.fp_count < best_loss:
                     record_leaf()
                 return True
-            p = levels[depth]
-            covering = state.positions >= cover_by_level[p]
-            if not covering[covering.argmax()]:
-                stack.append([depth + 1, 0, *plan_children(row_of[p])])
+            row = level_rows[depth]
+            priced = state.peek_edge(slice(None), row)
+            if priced is not None:
+                stack.append([depth + 1, 0, *plan_children(*priced), row])
                 return True
             depth += 1
 
     improver: LeafImprover | None = None
     prune_bound = options.enable_prune_bound
-    # Depth-first over frames [child depth, next child k, increments,
-    # classifiers, row]: the top frame undoes child k - 1's edge, then
+    # Depth-first over frames [child depth, next child k, false-positive
+    # totals, classifiers, row]: the top frame undoes child k - 1's edge, then
     # enters child k or is popped.  The stack is explicit, so tree depth is
     # not bounded by Python's recursion limit.
     stack: list[list] = []
     within_budget = enter(0)
     while within_budget and stack:
         frame = stack[-1]
-        depth, k, incs, js, row = frame
+        depth, k, totals, js, row = frame
         if k:
             state.undo_edge()
-        if k == len(incs):
+        if k == len(totals):
             stack.pop()
-        elif prune_bound and best_loss is not None and state.fp_count + incs[k] >= best_loss:
-            # Children come in ascending inc and best_loss only falls,
+        elif prune_bound and best_loss is not None and totals[k] >= best_loss:
+            # Children come in ascending total and best_loss only falls,
             # so every later sibling fails the bound too.
-            stats.nodes_pruned_bound += len(incs) - k
+            stats.nodes_pruned_bound += len(totals) - k
             stack.pop()
         else:
-            state.apply_edge(js[k], row)
+            state.apply_edge(js[k], row, totals[k])
             frame[1] = k + 1
             within_budget = enter(depth)
 

@@ -88,7 +88,7 @@ def extract_candidates(problem: Problem) -> CandidateGrid:
     np.greater(below[:, 1:], below[:, :-1], out=kept[:, 1:])
 
     # The highest negative under each slot, and for the gaps their midpoints.
-    lower = np.take_along_axis(ns, below, axis=1)
+    lower = ns[np.arange(E)[:, None], below]
     gap_low = lower[:, :P]
     with np.errstate(over="ignore"):
         mid = (ps + gap_low) / 2.0

@@ -49,6 +49,13 @@ def assert_consistent(st):
     assert st.fp_count == compute_loss(st.problem, st.grid.config(st.positions))
 
 
+def apply(st, j, row):
+    """Price one edge, enter it with that total and return the new count."""
+    total, _ = st.peek_edge(j, row)
+    st.apply_edge(j, row, int(total))
+    return st.fp_count
+
+
 def looser_rows(st, j):
     """Classifier j's rows whose candidate is at or below its current position."""
     return np.flatnonzero(st.row_position[j] >= st.positions[j]).tolist()
@@ -71,10 +78,11 @@ def test_root_state_toy(toy):
 
 def test_apply_undo_single_edge(toy):
     st = make_state(toy)
-    peek_inc, peek_newly = st.peek_edge(0, 2)
-    assert peek_inc == 2 and np.flatnonzero(bits(peek_newly, 3)).tolist() == [0, 1]
+    peek_total, peek_union = st.peek_edge(0, 2)
+    assert peek_total == 2 and np.flatnonzero(bits(peek_union, 3)).tolist() == [0, 1]
     assert st.fp_count == 0 and not fp_bits(st).any()  # peek does not mutate
-    assert st.apply_edge(0, 2) == 2
+    st.apply_edge(0, 2, int(peek_total))
+    assert st.fp_count == 2
     assert np.flatnonzero(fp_bits(st)).tolist() == [0, 1]
     assert st.positions.tolist() == [2, 0]
     assert covering(st, 0) == covering(st, 1) == [0]
@@ -93,8 +101,8 @@ def test_shared_negative_counted_once():
         negative_scores=np.array([[2.0], [2.0]]),
     )
     st = make_state(p)
-    assert st.apply_edge(0, 1) == 1
-    assert st.apply_edge(1, 1) == 1  # second cover of negative 0 is free
+    assert apply(st, 0, 1) == 1
+    assert apply(st, 1, 1) == 1  # second cover of negative 0 is free
     assert fp_bits(st).tolist() == [True]
     st.undo_edge()
     assert st.fp_count == 1
@@ -109,21 +117,24 @@ def test_equal_fp_sets_share_fingerprint():
     )
     st = make_state(p)
     root = fp_bits(st)
-    st.apply_edge(0, 1)
+    apply(st, 0, 1)
     via0 = fp_bits(st)
     st.undo_edge()
-    st.apply_edge(1, 1)
+    apply(st, 1, 1)
     via1 = fp_bits(st)
     assert np.array_equal(via0, via1) and not np.array_equal(via0, root)
 
 
 def test_monotonicity_and_empty_journal(toy):
     st = make_state(toy)
-    st.apply_edge(0, 2)
+    apply(st, 0, 2)
     with pytest.raises(MonotonicityViolation):
-        st.apply_edge(0, 1)
+        st.apply_edge(0, 1, st.fp_count)
     with pytest.raises(MonotonicityViolation):
         st.peek_edge(0, 0)
+    # A refused edge changes nothing.
+    assert len(st.journal) == 1 and st.positions.tolist() == [2, 0]
+    assert_consistent(st)
     st.undo_edge()
     with pytest.raises(EmptyJournal):
         st.undo_edge()
@@ -131,8 +142,8 @@ def test_monotonicity_and_empty_journal(toy):
 
 def test_noop_edge_is_journaled(toy):
     st = make_state(toy)
-    before = st.apply_edge(1, 1)
-    assert st.apply_edge(1, 1) == before  # target == current
+    before = apply(st, 1, 1)
+    assert apply(st, 1, 1) == before  # target == current
     assert len(st.journal) == 2
     st.undo_edge()
     st.undo_edge()
@@ -148,35 +159,30 @@ def test_random_walk_apply_undo_round_trip(seed):
     st = make_state(prob)
     root_neg = fp_bits(st)
     rng = random.Random(seed * 7 + 1)
-    steps = 0
     for _ in range(30):
         j = rng.randrange(prob.num_classifiers)
         rows = looser_rows(st, j)
         if st.positions[j] == st.row_position[j].max() and rng.random() < 0.5 and st.journal:
             st.undo_edge()
-            steps -= 1
             continue
         row = rng.choice(rows)
         target = st.row_position[j, row]
-        inc, newly = st.peek_edge(j, row)
-        newly_bits = bits(newly, prob.num_negatives)
-        before_fp = st.fp_count
+        total, union = st.peek_edge(j, row)
+        union_bits = bits(union, prob.num_negatives)
         before_neg = fp_bits(st)
-        fp = st.apply_edge(j, row)
+        st.apply_edge(j, row, int(total))
         assert st.positions[j] == target
-        # peek promised exactly what apply delivered
-        assert fp - before_fp == inc == newly_bits.sum()
-        assert np.array_equal(fp_bits(st) & ~before_neg, newly_bits)
-        assert fp == compute_loss(prob, st.grid.config(st.positions))
-        # newly is the edge's row minus what was already covered
+        # peek promised exactly what apply delivered, and the carried total
+        # is the count of the new set and the batch loss
+        assert np.array_equal(fp_bits(st), union_bits)
+        assert st.fp_count == total == union_bits.sum()
+        assert_consistent(st)
+        # the union is the edge's row joined with what was already covered
         row = prob.negative_scores[j] > st.grid.thresholds[j, target]
-        assert np.array_equal(newly_bits, row & ~before_neg)
+        assert np.array_equal(union_bits, row | before_neg)
         theta = np.array(st.grid.config(st.positions))[:, None]
         covered = (prob.positive_scores > theta).any(axis=0).tolist()
         assert [bool(covering(st, p)) for p in range(prob.num_positives)] == covered
-        steps += 1
-        if steps % 7 == 0:
-            assert_consistent(st)
     while st.journal:
         st.undo_edge()
     assert st.positions.tolist() == [0] * prob.num_classifiers
@@ -270,20 +276,20 @@ def test_array_peek_equals_scalar_peeks(seed):
 
     for _ in range(3):
         j = rng.randrange(E)
-        st.apply_edge(j, looser(j))
+        apply(st, j, looser(j))
     rows = np.array([looser(j) for j in range(E)])
-    incs, newly = st.peek_edge(np.arange(E), rows)
-    assert incs.shape == (E,) and newly.shape == (E, st.fp.size)
+    totals, unions = st.peek_edge(np.arange(E), rows)
+    assert totals.shape == (E,) and unions.shape == (E, st.fp.size)
     for j in range(E):
-        inc, row = st.peek_edge(j, int(rows[j]))
-        assert incs[j] == inc and np.array_equal(newly[j], row)
+        total, union = st.peek_edge(j, int(rows[j]))
+        assert totals[j] == total and np.array_equal(unions[j], union)
     # A slice of classifiers and one row: the search's call.
     row = rng.randrange(st.rows.shape[1])
-    if all(row in looser_rows(st, j) for j in range(E)):
-        incs, newly = st.peek_edge(slice(None), row)
+    if all(st.row_position[j, row] > st.positions[j] for j in range(E)):
+        totals, unions = st.peek_edge(slice(None), row)
         for j in range(E):
-            inc, packed = st.peek_edge(j, row)
-            assert incs[j] == inc and np.array_equal(newly[j], packed)
+            total, union = st.peek_edge(j, row)
+            assert totals[j] == total and np.array_equal(unions[j], union)
     raised = [j for j in range(E) if st.positions[j] > 0]
     if raised:
         tighter = rows.copy()
@@ -302,7 +308,32 @@ def test_no_negatives_costs_nothing():
     assert difficulty_order(st)[0].tolist() == [0, 0]
     # Every positive is covered at the root: only the empty row is left.
     assert st.live.size == 0 and st.rows.shape == (2, 1, 0)
-    incs, newly = st.peek_edge(np.arange(2), 0)
-    assert incs.tolist() == [0, 0] and newly.shape == (2, 0)
-    assert st.apply_edge(0, 0) == 0
+    totals, unions = st.peek_edge(np.arange(2), 0)
+    assert totals.tolist() == [0, 0] and unions.shape == (2, 0)
+    assert apply(st, 0, 0) == 0
     assert_consistent(st)
+
+
+@pytest.mark.parametrize("seed", range(15))
+def test_level_peek_is_covered_exactly_when_a_classifier_reached_it(seed):
+    """Along random walks, a level's peek returns None exactly when some
+    classifier has reached its positive's cover position; otherwise every
+    classifier's total and union equal that edge's own peek."""
+    for prob in (small_problem(seed), tie_heavy_problem(seed)):
+        st = make_state(prob)
+        rng = random.Random(seed)
+        E = prob.num_classifiers
+        for _ in range(12):
+            for d in range(st.rows.shape[1]):
+                reached = d == 0 or bool(covering(st, st.live[d - 1]))
+                priced = st.peek_edge(slice(None), d)
+                assert (priced is None) == reached
+                if priced is not None:
+                    totals, unions = priced
+                    for j in range(E):
+                        total, union = st.peek_edge(j, d)
+                        assert totals[j] == total and np.array_equal(unions[j], union)
+            j = rng.randrange(E)
+            apply(st, j, rng.choice(looser_rows(st, j)))
+            assert_consistent(st)
+

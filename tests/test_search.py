@@ -359,11 +359,14 @@ def test_search_edges_go_through_cover_state_methods(monkeypatch):
     problems = [small_problem(s) for s in range(20)] + [tie_heavy_problem(s) for s in range(20)]
     cases = [(prob, flags) for prob in problems for flags in ({}, search.ABLATIONS["all-off"])]
     plain = [solve_exact(prob, SearchOptions(**flags)) for prob, flags in cases]
-    calls = dict.fromkeys(("peek_edge", "apply_edge", "undo_edge"), 0)
-    for name in calls:
+    calls = dict.fromkeys(("peek_edge", "apply_edge", "undo_edge", "priced"), 0)
+    for name in ("peek_edge", "apply_edge", "undo_edge"):
         def counted(self, *args, _name=name, _method=getattr(CoverState, name)):
             calls[_name] += 1
-            return _method(self, *args)
+            result = _method(self, *args)
+            if _name == "peek_edge" and result is not None:
+                calls["priced"] += 1
+            return result
         monkeypatch.setattr(CoverState, name, counted)
 
     def counters(st):
@@ -375,16 +378,19 @@ def test_search_edges_go_through_cover_state_methods(monkeypatch):
         st = sol.stats
         assert (sol.loss, sol.config, sol.assignment) == (ref.loss, ref.config, ref.assignment)
         assert counters(st) == counters(ref.stats)
-        # One peek per expanded node prices its E children; each child is
+        # One peek per inner node visit: a pass-through returns None, an
+        # expanded node's peek prices its E children.  Each priced child is
         # then pruned by equivalence or bound, or entered: one apply, one undo.
         entered = calls["apply_edge"]
         assert calls["undo_edge"] == entered
-        assert calls["peek_edge"] * prob.num_classifiers == (
+        assert calls["priced"] * prob.num_classifiers == (
             entered + st.nodes_pruned_bound + st.nodes_pruned_equivalence)
-        # Every visit but the root enters a child, by an edge or a pass-through.
+        # Every visit but the root enters a child, by an edge or a pass-through;
+        # every visit but the leaves peeks.
         assert entered <= st.nodes_visited - 1
+        assert calls["priced"] <= calls["peek_edge"] <= st.nodes_visited
         if flags:
-            assert calls["peek_edge"] * prob.num_classifiers == entered
+            assert calls["priced"] * prob.num_classifiers == entered
 
 
 def test_deep_tree_is_not_bounded_by_recursion():
