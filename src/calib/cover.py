@@ -21,10 +21,17 @@ candidate's count in ``CandidateGrid.conceded``.
 A search node is one step over its level's row d.  ``peek_edge`` first
 tests the level's positive against every position; if it is not yet
 covered, every edge lowers its classifier, and one vectorized call prices
-all of them as unions ``rows[j, d] | fp`` and their popcounts, the
-children's false-positive totals.  Packed bits are canonical, so equal
-unions are byte-equal.  ``apply_edge`` enters one child with the total
-already priced, and ORs its row into a new set without recounting it.
+them as unions ``rows[j, d] | fp`` and their popcounts, the children's
+false-positive totals.  Packed bits are canonical, so equal unions are
+byte-equal.  ``apply_edge`` enters one child with the total already
+priced, and ORs its row into a new set without recounting it.
+
+An edge's child concedes at least the edge's own row, ``edge_cost[j, d]``
+negatives.  Once the search records an incumbent of loss U, an edge whose
+cost reaches U can lie on no better leaf, so the level peek prices only
+the live edges, those costing less than U, in ascending j.  Their rows are
+copied together the first time a row is priced under each incumbent;
+the search's local search reads the same copies below its own bound.
 """
 
 from __future__ import annotations
@@ -61,6 +68,14 @@ class CoverState:
         self.row_position[:, 1:] = self.cover_position[:, self.live]
         self.rows = packed_above(problem.negative_scores,
                                  grid.thresholds[classifiers, self.row_position])
+        # The negatives each row holds, its candidate's conceded count.
+        self.edge_cost = grid.conceded[classifiers, self.row_position]
+        self.classifiers = np.arange(len(grid))
+        # The search's incumbent loss, which level peeks price below.
+        self.incumbent: int | None = None
+        # live_edges' rows, for the last bound asked.
+        self.live_bound: int | None = None
+        self.live_rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
         self.positions = np.zeros(len(grid), dtype=np.intp)
         self.fp = np.zeros(self.rows.shape[2], dtype=np.uint64)
@@ -68,14 +83,29 @@ class CoverState:
         # (classifier, old position, previous fp, previous fp_count)
         self.journal: list[tuple[int, int, np.ndarray, int]] = []
 
-    def peek_edge(self, classifier, row) -> tuple[np.ndarray, np.ndarray] | None:
+    def live_edges(self, row: int, bound: int) -> tuple[np.ndarray, np.ndarray]:
+        """The classifiers whose edge to ``row`` costs less than ``bound``, in
+        ascending j, and a contiguous copy of their rows, kept until another
+        bound is asked."""
+        if bound != self.live_bound:
+            self.live_bound, self.live_rows = bound, {}
+        live = self.live_rows.get(row)
+        if live is None:
+            js = (self.edge_cost[:, row] < bound).nonzero()[0]
+            live = self.live_rows[row] = js, self.rows[js, row]
+        return live
+
+    def peek_edge(self, classifier, row) -> tuple | None:
         """False-positive totals and packed unions ``rows[j, row] | fp`` of edges, unapplied.
 
         ``peek_edge(slice(None), row)`` takes a level, every classifier's
         edge to one row, and returns None once some classifier has reached
-        its target: the level's positive is covered.  One classifier and
-        row, or equal-length arrays of them, raise MonotonicityViolation for
-        a target tighter than the current position.
+        its target: the level's positive is covered.  Otherwise it returns
+        ``(classifiers, totals, unions)`` for the live edges: every
+        classifier, or under an incumbent those whose ``edge_cost`` is below
+        it, in ascending j.  One classifier and row, or equal-length arrays
+        of them, give ``(totals, unions)`` and raise MonotonicityViolation
+        for a target tighter than the current position.
         """
         cur = self.positions[classifier]
         target = self.row_position[classifier, row]
@@ -83,7 +113,13 @@ class CoverState:
             reached = cur >= target
             if reached[reached.argmax()]:
                 return None
-        elif (target < cur).any():
+            if self.incumbent is None:
+                classifier, rows = self.classifiers, self.rows[:, row]
+            else:
+                classifier, rows = self.live_edges(row, self.incumbent)
+            unions = rows | self.fp
+            return classifier, np.add.reduce(np.bitwise_count(unions), axis=-1), unions
+        if (target < cur).any():
             raise MonotonicityViolation(
                 f"classifier {classifier}: target position {target} is tighter "
                 f"than current {cur}"

@@ -10,7 +10,10 @@ priced as false-positive totals from its level's row in the CoverState, in
 the same call that finds a pass-through node, and a positive's difficulty
 is read off the root CoverState's cover costs.  A local search
 improves each new incumbent before it is recorded, so the bound prunes
-against a better one.
+against a better one.  The CoverState holds the incumbent's loss too, and
+prices only the edges that concede fewer negatives on their own: every
+other child would fail the bound, so it counts as a bound prune without
+being priced, and the traversal is unchanged.
 """
 
 from __future__ import annotations
@@ -147,11 +150,12 @@ class LeafImprover:
     def __init__(self, state: CoverState):
         self.rows = state.rows
         self.row_position = state.row_position
-        self.classifiers = np.arange(len(state.positions))
+        self.classifiers = state.classifiers
         # Classifier 0 at row 0 concedes nothing, so it pads the ORs.
         self.padded = np.concatenate(([0], self.classifiers, [0]))
         self.cover_position = state.row_position[:, 1:]
         self.cover_lists = self.cover_position.T.tolist()
+        self.live_edges = state.live_edges
 
     def improve(self, positions: list[int], loss: int, bound: int) -> tuple[list[int], int]:
         """(positions, loss) after the kept trials, equal to the input if none is kept.
@@ -212,14 +216,15 @@ class LeafImprover:
         while uncovered:
             worst = -1
             for q in uncovered:
-                # The false-positive count after each classifier's cover of q.
-                counts = np.add.reduce(np.bitwise_count(self.rows[:, q + 1] | fp),
-                                       axis=1).tolist()
-                fewest = min(counts)
+                # The false-positive count after each classifier's cover of q,
+                # for the classifiers whose cover alone concedes fewer than loss.
+                live, live_rows = self.live_edges(q + 1, loss)
+                counts = np.add.reduce(np.bitwise_count(live_rows | fp), axis=1).tolist()
+                fewest = min(counts, default=loss)
                 if fewest >= loss:
                     return None
                 if fewest > worst:
-                    worst, worst_q, via = fewest, q, counts.index(fewest)
+                    worst, worst_q, via = fewest, q, live.item(counts.index(fewest))
             count = worst
             rows[via] = worst_q + 1
             t = self.cover_lists[worst_q][via]
@@ -267,18 +272,26 @@ def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solut
             return True
         return False
 
-    def plan_children(totals: np.ndarray, unions: np.ndarray) -> tuple[list[int], list[int]]:
-        """False-positive totals and classifiers of the children, in (total, j) order."""
+    def plan_children(js: np.ndarray, totals: np.ndarray, unions: np.ndarray) -> list | None:
+        """False-positive totals and classifiers of the priced children, in
+        (total, j) order, and the count of dead edges.
+
+        None when no edge is live or the first child fails the bound: no
+        frame is pushed, and every child is counted as pruned here, as
+        popping its frame would count it.
+        """
         order = totals.argsort(kind="stable")
-        totals = totals[order]
-        if options.enable_prune_equivalence:
+        totals = totals[order].tolist()
+        if options.enable_prune_equivalence and len(set(totals)) < len(totals):
             # Equal unions at one node are equal newly covered sets, and
             # have equal totals, so only a run of tied totals can hold one;
             # the first of each set is kept.  Packed bits are canonical, so
             # byte equality is exact set equality.
             dropped: list[int] = []
             run_end = -1
-            for k in (totals[1:] == totals[:-1]).nonzero()[0].tolist():
+            for k in range(len(totals) - 1):
+                if totals[k] != totals[k + 1]:
+                    continue
                 # Child k + 1 ties with child k, in the run ending at k or a new one.
                 if k != run_end:
                     seen = {unions[order[k]].tobytes()}
@@ -290,8 +303,13 @@ def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solut
                     seen.add(key)
             if dropped:
                 stats.nodes_pruned_equivalence += len(dropped)
-                order, totals = np.delete(order, dropped), np.delete(totals, dropped)
-        return totals.tolist(), order.tolist()
+                order = np.delete(order, dropped)
+                totals = [t for k, t in enumerate(totals) if k not in dropped]
+        dead = num_classifiers - len(js)
+        if not totals or (prune_bound and best_loss is not None and totals[0] >= best_loss):
+            stats.nodes_pruned_bound += len(totals) + dead
+            return None
+        return [totals, js[order].tolist(), dead]
 
     def record_leaf() -> None:
         """Make the current leaf, improved by local search, the incumbent."""
@@ -302,6 +320,8 @@ def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solut
                 improver = LeafImprover(state)
             best_positions, best_loss = improver.improve(best_positions, best_loss,
                                                          root_bound)
+        if prune_bound:
+            state.incumbent = best_loss
         ms = elapsed_ms()
         stats.incumbent_history.append((ms, best_loss))
         if options.trace is not None:
@@ -312,9 +332,10 @@ def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solut
 
         One peek_edge call per node either finds its positive already
         covered, a pass-through whose one child is visited in this loop, or
-        prices the children.  A node with children pushes their frame,
-        planned in full, so a budget firing below still counts every
-        equivalence prune.
+        prices the live children.  A node with a child to enter pushes their
+        frame, planned in full, so a budget firing below still counts every
+        equivalence prune among them.  Its dead edges, which cannot beat the
+        incumbent, are counted as bound prunes when the frame is popped.
         """
         while True:
             stats.nodes_visited += 1
@@ -327,29 +348,32 @@ def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solut
             row = level_rows[depth]
             priced = state.peek_edge(slice(None), row)
             if priced is not None:
-                stack.append([depth + 1, 0, *plan_children(*priced), row])
+                planned = plan_children(*priced)
+                if planned is not None:
+                    stack.append([depth + 1, 0, row, *planned])
                 return True
             depth += 1
 
     improver: LeafImprover | None = None
     prune_bound = options.enable_prune_bound
-    # Depth-first over frames [child depth, next child k, false-positive
-    # totals, classifiers, row]: the top frame undoes child k - 1's edge, then
-    # enters child k or is popped.  The stack is explicit, so tree depth is
-    # not bounded by Python's recursion limit.
+    num_classifiers = problem.num_classifiers
+    # Depth-first over frames [child depth, next child k, row, false-positive
+    # totals, classifiers, dead edges]: the top frame undoes child k - 1's
+    # edge, then enters child k or is popped.  The stack is explicit, so
+    # tree depth is not bounded by Python's recursion limit.
     stack: list[list] = []
     within_budget = enter(0)
     while within_budget and stack:
         frame = stack[-1]
-        depth, k, totals, js, row = frame
+        depth, k, row, totals, js, dead = frame
         if k:
             state.undo_edge()
-        if k == len(totals):
-            stack.pop()
-        elif prune_bound and best_loss is not None and totals[k] >= best_loss:
+        if k == len(totals) or (
+                prune_bound and best_loss is not None and totals[k] >= best_loss):
             # Children come in ascending total and best_loss only falls,
-            # so every later sibling fails the bound too.
-            stats.nodes_pruned_bound += len(totals) - k
+            # so every later sibling fails the bound too, as every dead
+            # edge does.
+            stats.nodes_pruned_bound += len(totals) - k + dead
             stack.pop()
         else:
             state.apply_edge(js[k], row, totals[k])

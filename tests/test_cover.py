@@ -286,7 +286,8 @@ def test_array_peek_equals_scalar_peeks(seed):
     # A slice of classifiers and one row: the search's call.
     row = rng.randrange(st.rows.shape[1])
     if all(st.row_position[j, row] > st.positions[j] for j in range(E)):
-        totals, unions = st.peek_edge(slice(None), row)
+        js, totals, unions = st.peek_edge(slice(None), row)
+        assert js.tolist() == list(range(E))
         for j in range(E):
             total, union = st.peek_edge(j, row)
             assert totals[j] == total and np.array_equal(unions[j], union)
@@ -329,7 +330,8 @@ def test_level_peek_is_covered_exactly_when_a_classifier_reached_it(seed):
                 priced = st.peek_edge(slice(None), d)
                 assert (priced is None) == reached
                 if priced is not None:
-                    totals, unions = priced
+                    js, totals, unions = priced
+                    assert js.tolist() == list(range(E))
                     for j in range(E):
                         total, union = st.peek_edge(j, d)
                         assert totals[j] == total and np.array_equal(unions[j], union)
@@ -337,3 +339,68 @@ def test_level_peek_is_covered_exactly_when_a_classifier_reached_it(seed):
             apply(st, j, rng.choice(looser_rows(st, j)))
             assert_consistent(st)
 
+
+
+DBL_MAX = float(np.finfo(np.float64).max)
+EXTREME = [0.0, 1.0, 1e17, 2e17, -1e17, 1e308, -1e308, 1.6e308, 1.5e308, -1.7e308,
+           DBL_MAX, 5e-324]
+
+
+def extreme_problem(seed):
+    """Scores at the edges of float arithmetic, some a few floats apart, many tied."""
+    rng = random.Random(seed)
+    E, P, N = rng.randint(1, 4), rng.randint(1, 5), rng.randint(0, 8)
+
+    def score():
+        x = rng.choice(EXTREME)
+        for _ in range(rng.randint(0, 2)):
+            x = float(np.nextafter(x, rng.choice((-DBL_MAX, DBL_MAX))))
+        return x
+
+    def scores(n):
+        return np.array([[score() for _ in range(n)] for _ in range(E)]).reshape(E, n)
+
+    return Problem(scores(P), scores(N))
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_edge_cost_is_its_row_popcount(seed):
+    """An edge concedes exactly its row's negatives, the conceded count of its candidate."""
+    for prob in (small_problem(seed), tie_heavy_problem(seed), extreme_problem(seed)):
+        st = make_state(prob)
+        classifiers = np.arange(prob.num_classifiers)[:, None]
+        conceded = st.grid.conceded[classifiers, st.row_position]
+        assert np.array_equal(st.edge_cost, conceded)
+        assert np.array_equal(conceded, np.bitwise_count(st.rows).sum(axis=-1))
+
+
+@pytest.mark.parametrize("seed", range(15))
+def test_level_peek_under_an_incumbent_prices_only_live_edges(seed):
+    """Along random walks and a falling incumbent U, a level's peek returns
+    exactly the full peek's children whose edge costs less than U, in
+    ascending j, and still None for a covered level."""
+    for prob in (small_problem(seed), tie_heavy_problem(seed)):
+        full, bounded = make_state(prob), make_state(prob)
+        rng = random.Random(seed)
+        E = prob.num_classifiers
+        incumbent = int(full.edge_cost.max()) + 1
+        for step in range(12):
+            if step % 3 == 0:
+                incumbent = rng.randint(0, incumbent)
+                bounded.incumbent = incumbent
+            for d in range(full.rows.shape[1]):
+                priced, live = full.peek_edge(slice(None), d), bounded.peek_edge(slice(None), d)
+                assert (live is None) == (priced is None)
+                if priced is None:
+                    continue
+                js, totals, unions = priced
+                keep = full.edge_cost[:, d] < incumbent
+                live_js, live_totals, live_unions = live
+                assert live_js.tolist() == js[keep].tolist() == sorted(live_js.tolist())
+                assert np.array_equal(live_totals, totals[keep])
+                assert np.array_equal(live_unions, unions[keep])
+            j = rng.randrange(E)
+            row = rng.choice(looser_rows(full, j))
+            apply(full, j, row)
+            apply(bounded, j, row)
+            assert bounded.fp_count == full.fp_count

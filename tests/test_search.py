@@ -1,5 +1,7 @@
 """Branch-and-bound search: exact optimality, ablations, budgets, redundancy."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -275,13 +277,15 @@ def test_options_validation():
 # per named ablation.  Losses alone cannot see a change in child order,
 # pruning, depth reduction or local search; these totals do.  Without the
 # bound nothing prunes against the incumbent, so local search leaves those
-# rows as the paper's plain depth-first search has them.
+# rows as the paper's plain depth-first search has them.  A dead edge, one
+# whose own cost reaches the incumbent, is never priced and counts as a
+# bound prune, even where it would duplicate a sibling's set.
 TRAVERSAL_TOTALS_LOCAL_SEARCH = {
     "all-on": [670, 718, 10, 469],
     "no-bound": [3369, 0, 80, 469],
     "no-equivalence": [670, 728, 0, 469],
     "no-depth-reduction": [1154, 718, 10, 0],
-    "random-order": [776, 1113, 16, 469],
+    "random-order": [776, 1119, 10, 469],
     "all-off": [6156, 0, 0, 0],
 }
 
@@ -327,11 +331,11 @@ def test_traversal_counts_pinned_at_node_budget_10():
 # and mixed sets, so these pin equivalence pruning where
 # TRAVERSAL_TOTALS_LOCAL_SEARCH sees few ties.
 TIE_TOTALS_LOCAL_SEARCH = {
-    "all-on": [982, 739, 520],
+    "all-on": [982, 769, 490],
     "no-bound": [3941, 0, 1040],
     "no-equivalence": [1015, 1341, 0],
-    "no-depth-reduction": [1104, 739, 520],
-    "random-order": [1187, 1205, 890],
+    "no-depth-reduction": [1104, 769, 490],
+    "random-order": [1187, 1445, 650],
     "all-off": [14326, 0, 0],
 }
 
@@ -391,6 +395,76 @@ def test_search_edges_go_through_cover_state_methods(monkeypatch):
         assert calls["priced"] <= calls["peek_edge"] <= st.nodes_visited
         if flags:
             assert calls["priced"] * prob.num_classifiers == entered
+
+
+def test_exact_e30_traversal_pinned():
+    """The exact-e30 benchmark recipe, seed 1, solved to proof: its loss,
+    nodes and pruned children (bound and equivalence together, since a
+    dead edge counts as a bound prune) are pinned."""
+    prob, _ = generate(GenerateSpec(seed=1, num_classifiers=30, num_positives=60,
+                                    num_negatives=1500, dimensions=10, noise=0.15,
+                                    spread=0.25, hardness_fraction=0.2,
+                                    hardness_scale=0.65))
+    sol = solve_exact(prob)
+    st = sol.stats
+    assert sol.optimal and sol.loss == 583
+    assert st.nodes_visited == 4938
+    assert st.nodes_pruned_bound + st.nodes_pruned_equivalence == 86213
+    assert [loss for _, loss in st.incumbent_history] == [630, 616, 603, 595, 583]
+
+
+def exemplar_problem():
+    """One classifier per positive exemplar (E = P = 60, N = 1500)."""
+    prob, _ = generate(GenerateSpec(seed=3, num_classifiers=60, num_positives=60,
+                                    num_negatives=1500, dimensions=10, noise=0.15,
+                                    spread=0.25))
+    return prob
+
+
+def test_budgeted_exemplar_run_pinned():
+    """A 2,000-node run in the exemplar regime, truncated after three
+    incumbents, each of which prunes edges as dead."""
+    sol = solve_exact(exemplar_problem(), SearchOptions(node_budget=2000))
+    st = sol.stats
+    assert not sol.optimal and sol.loss == 398
+    assert st.nodes_visited == 2000
+    assert [loss for _, loss in st.incumbent_history] == [407, 401, 398]
+    config = hashlib.sha256(np.array(sol.config).tobytes()).hexdigest()
+    assert config == "dcbd67d53b25199f428f7c761f3cd08da4d73567e92685857ff1a2bf29a004ea"
+
+
+def test_local_search_prices_only_live_edges(monkeypatch):
+    """A trial skips the classifiers whose cover of a positive alone
+    concedes the loss it must beat.  Such a count can never be the fewest
+    below that loss, so pricing every classifier improves every leaf alike."""
+    problems = [small_problem(s) for s in range(100)] + [tie_heavy_problem(s) for s in range(100)]
+    cases = [(prob, None) for prob in problems] + [(exemplar_problem(), 2000)]
+    improve = search.LeafImprover.improve
+    calls = []
+
+    def recorded(self, positions, loss, bound):
+        result = improve(self, positions, loss, bound)
+        calls.append((positions, loss, bound, result))
+        return result
+
+    monkeypatch.setattr(search.LeafImprover, "improve", recorded)
+
+    def improved():
+        calls.clear()
+        for prob, budget in cases:
+            solve_exact(prob, SearchOptions(node_budget=budget))
+        return list(calls)
+
+    live = improved()
+    init = search.LeafImprover.__init__
+
+    def every_edge_live(self, state):
+        init(self, state)
+        self.live_edges = lambda row, bound: (state.classifiers, state.rows[:, row])
+
+    monkeypatch.setattr(search.LeafImprover, "__init__", every_edge_live)
+    assert improved() == live
+    assert any(new_loss < loss for _, loss, _, (_, new_loss) in live)  # some trial is kept
 
 
 def test_deep_tree_is_not_bounded_by_recursion():
