@@ -122,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--random-order", action="store_true",
         help="replace difficulty ordering with a seeded shuffle",
     )
-    solve.add_argument("--order-seed", type=int, default=0)
+    solve.add_argument("--order-seed", type=int, help="seed of --random-order (default 0)")
     solve.add_argument("--trace", action="store_true",
                        help="stream incumbent improvements to stderr")
     solve.add_argument("--out", required=True)
@@ -189,6 +189,9 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if args.order_seed is not None and not args.random_order:
+        print("calib solve: error: --order-seed needs --random-order", file=sys.stderr)
+        return EXIT_USAGE
     problem = load_problem(args.problem)
     trace = None
     if args.trace or log.isEnabledFor(logging.DEBUG):
@@ -203,7 +206,7 @@ def _cmd_solve(args) -> int:
             enable_difficulty_order=not args.random_order,
             budget_ms=args.budget_ms,
             node_budget=args.node_budget,
-            random_order_seed=args.order_seed if args.random_order else None,
+            random_order_seed=(args.order_seed or 0) if args.random_order else None,
             trace=trace,
         )
     except ValueError as e:

@@ -18,8 +18,8 @@ score, so coverage is read off the current positions.  At the root,
 covering p through classifier j concedes ``cost[j, p]`` negatives, the
 candidate's count in ``CandidateGrid.conceded``.
 
-A search node is one step over its level's row d.  ``peek_edge`` first
-tests the level's positive against every position; if it is not yet
+A search node is one step over its level's row d.  ``peek_edge(d, bound)``
+first tests the level's positive against every position; if it is not yet
 covered, every edge lowers its classifier, and one vectorized call prices
 them as unions ``rows[j, d] | fp`` and their popcounts, the children's
 false-positive totals.  Packed bits are canonical, so equal unions are
@@ -27,11 +27,11 @@ byte-equal.  ``apply_edge`` enters one child with the total already
 priced, and ORs its row into a new set without recounting it.
 
 An edge's child concedes at least the edge's own row, ``edge_cost[j, d]``
-negatives.  Once the search records an incumbent of loss U, an edge whose
-cost reaches U can lie on no better leaf, so the level peek prices only
-the live edges, those costing less than U, in ascending j.  Their rows are
-copied together the first time a row is priced under each incumbent;
-the search's local search reads the same copies below its own bound.
+negatives.  Under a bound U, the search's incumbent loss, an edge whose
+cost reaches U can lie on no better leaf, so ``peek_edge`` prices only the
+live edges, those costing less than U, in ascending j.  Their rows are
+copied together the first time a row is priced under each bound; the
+search's local search reads the same copies below its own bound.
 """
 
 from __future__ import annotations
@@ -71,8 +71,6 @@ class CoverState:
         # The negatives each row holds, its candidate's conceded count.
         self.edge_cost = grid.conceded[classifiers, self.row_position]
         self.classifiers = np.arange(len(grid))
-        # The search's incumbent loss, which level peeks price below.
-        self.incumbent: int | None = None
         # live_edges' rows, for the last bound asked.
         self.live_bound: int | None = None
         self.live_rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -95,37 +93,25 @@ class CoverState:
             live = self.live_rows[row] = js, self.rows[js, row]
         return live
 
-    def peek_edge(self, classifier, row) -> tuple | None:
-        """False-positive totals and packed unions ``rows[j, row] | fp`` of edges, unapplied.
+    def peek_edge(self, row: int, bound: int | None) -> tuple | None:
+        """The level of edges to ``row``, priced as false-positive totals and
+        packed unions ``rows[j, row] | fp``, unapplied.
 
-        ``peek_edge(slice(None), row)`` takes a level, every classifier's
-        edge to one row, and returns None once some classifier has reached
-        its target: the level's positive is covered.  Otherwise it returns
-        ``(classifiers, totals, unions)`` for the live edges: every
-        classifier, or under an incumbent those whose ``edge_cost`` is below
-        it, in ascending j.  One classifier and row, or equal-length arrays
-        of them, give ``(totals, unions)`` and raise MonotonicityViolation
-        for a target tighter than the current position.
+        Returns None once some classifier has reached its target: the
+        level's positive is covered.  Otherwise returns ``(classifiers,
+        totals, unions)`` for the live edges, in ascending j: every
+        classifier when ``bound`` is None, else those whose ``edge_cost``
+        is below it.
         """
-        cur = self.positions[classifier]
-        target = self.row_position[classifier, row]
-        if isinstance(classifier, slice):
-            reached = cur >= target
-            if reached[reached.argmax()]:
-                return None
-            if self.incumbent is None:
-                classifier, rows = self.classifiers, self.rows[:, row]
-            else:
-                classifier, rows = self.live_edges(row, self.incumbent)
-            unions = rows | self.fp
-            return classifier, np.add.reduce(np.bitwise_count(unions), axis=-1), unions
-        if (target < cur).any():
-            raise MonotonicityViolation(
-                f"classifier {classifier}: target position {target} is tighter "
-                f"than current {cur}"
-            )
-        unions = self.rows[classifier, row] | self.fp
-        return np.add.reduce(np.bitwise_count(unions), axis=-1), unions
+        reached = self.positions >= self.row_position[:, row]
+        if reached[reached.argmax()]:
+            return None
+        if bound is None:
+            classifiers, rows = self.classifiers, self.rows[:, row]
+        else:
+            classifiers, rows = self.live_edges(row, bound)
+        unions = rows | self.fp
+        return classifiers, np.add.reduce(np.bitwise_count(unions), axis=-1), unions
 
     def apply_edge(self, classifier: int, row: int, total: int) -> None:
         """Lower one classifier's threshold to the candidate of one of its rows.

@@ -10,10 +10,11 @@ priced as false-positive totals from its level's row in the CoverState, in
 the same call that finds a pass-through node, and a positive's difficulty
 is read off the root CoverState's cover costs.  A local search
 improves each new incumbent before it is recorded, so the bound prunes
-against a better one.  The CoverState holds the incumbent's loss too, and
-prices only the edges that concede fewer negatives on their own: every
-other child would fail the bound, so it counts as a bound prune without
-being priced, and the traversal is unchanged.
+against a better one.  The search alone holds the bound, the incumbent's
+loss, and hands it to each peek, which prices only the edges that concede
+fewer negatives on their own; every child whose total reaches it is
+dropped before the children are sorted.  Each such child counts as a bound
+prune, and the traversal is unchanged.
 """
 
 from __future__ import annotations
@@ -93,6 +94,11 @@ class SearchOptions:
             raise ValueError(f"node_budget must be an integer, got {self.node_budget!r}")
         if self.node_budget is not None and not self.node_budget > 0:
             raise ValueError("node_budget must be positive")
+        seed = self.random_order_seed
+        if seed is not None:
+            if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+                raise ValueError(f"random_order_seed must be an integer, got {seed!r}")
+            self.random_order_seed = int(seed)  # random.Random takes no numpy int
 
 
 def difficulty_order(state: CoverState) -> tuple[np.ndarray, list[int]]:
@@ -273,14 +279,23 @@ def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solut
         return False
 
     def plan_children(js: np.ndarray, totals: np.ndarray, unions: np.ndarray) -> list | None:
-        """False-positive totals and classifiers of the priced children, in
-        (total, j) order, and the count of dead edges.
+        """False-positive totals and classifiers of the children below the
+        bound, in (total, j) order, and the count of dead edges, the others.
 
-        None when no edge is live or the first child fails the bound: no
-        frame is pushed, and every child is counted as pruned here, as
-        popping its frame would count it.
+        None when no child is below the bound: no frame is pushed, and
+        every edge is counted as pruned here, as popping its frame would
+        count it.
         """
-        order = totals.argsort(kind="stable")
+        if bound is None:
+            order = totals.argsort(kind="stable")
+        else:
+            # The children below the bound, in ascending j, then in (total, j) order.
+            order = (totals < bound).nonzero()[0]
+            order = order[totals[order].argsort(kind="stable")]
+        dead = num_classifiers - len(order)
+        if not len(order):
+            stats.nodes_pruned_bound += dead
+            return None
         totals = totals[order].tolist()
         if options.enable_prune_equivalence and len(set(totals)) < len(totals):
             # Equal unions at one node are equal newly covered sets, and
@@ -305,23 +320,18 @@ def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solut
                 stats.nodes_pruned_equivalence += len(dropped)
                 order = np.delete(order, dropped)
                 totals = [t for k, t in enumerate(totals) if k not in dropped]
-        dead = num_classifiers - len(js)
-        if not totals or (prune_bound and best_loss is not None and totals[0] >= best_loss):
-            stats.nodes_pruned_bound += len(totals) + dead
-            return None
         return [totals, js[order].tolist(), dead]
 
     def record_leaf() -> None:
         """Make the current leaf, improved by local search, the incumbent."""
-        nonlocal best_loss, best_positions, improver
+        nonlocal best_loss, best_positions, improver, bound
         best_positions, best_loss = state.positions.tolist(), state.fp_count
         if best_loss > root_bound:
             if improver is None:
                 improver = LeafImprover(state)
             best_positions, best_loss = improver.improve(best_positions, best_loss,
                                                          root_bound)
-        if prune_bound:
-            state.incumbent = best_loss
+        bound = best_loss if options.enable_prune_bound else None
         ms = elapsed_ms()
         stats.incumbent_history.append((ms, best_loss))
         if options.trace is not None:
@@ -335,7 +345,7 @@ def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solut
         prices the live children.  A node with a child to enter pushes their
         frame, planned in full, so a budget firing below still counts every
         equivalence prune among them.  Its dead edges, which cannot beat the
-        incumbent, are counted as bound prunes when the frame is popped.
+        bound, are counted as bound prunes when the frame is popped.
         """
         while True:
             stats.nodes_visited += 1
@@ -346,7 +356,7 @@ def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solut
                     record_leaf()
                 return True
             row = level_rows[depth]
-            priced = state.peek_edge(slice(None), row)
+            priced = state.peek_edge(row, bound)
             if priced is not None:
                 planned = plan_children(*priced)
                 if planned is not None:
@@ -355,7 +365,8 @@ def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solut
             depth += 1
 
     improver: LeafImprover | None = None
-    prune_bound = options.enable_prune_bound
+    # The incumbent's loss, once there is one and bound pruning is on.
+    bound: int | None = None
     num_classifiers = problem.num_classifiers
     # Depth-first over frames [child depth, next child k, row, false-positive
     # totals, classifiers, dead edges]: the top frame undoes child k - 1's
@@ -368,11 +379,9 @@ def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solut
         depth, k, row, totals, js, dead = frame
         if k:
             state.undo_edge()
-        if k == len(totals) or (
-                prune_bound and best_loss is not None and totals[k] >= best_loss):
-            # Children come in ascending total and best_loss only falls,
-            # so every later sibling fails the bound too, as every dead
-            # edge does.
+        if k == len(totals) or (bound is not None and totals[k] >= bound):
+            # Children come in ascending total and the bound only falls,
+            # so every later sibling fails it too, as every dead edge does.
             stats.nodes_pruned_bound += len(totals) - k + dead
             stack.pop()
         else:

@@ -215,6 +215,21 @@ def test_solve_ablation_flags_preserve_loss(tmp_path):
     assert outs == [GOLDEN_LOSS] * 3
 
 
+def test_solve_order_seed_needs_random_order(tmp_path):
+    out = tmp_path / "sol.json"
+    res = run("solve", str(GOLDEN), "--order-seed", "7", "--out", str(out))
+    assert res.returncode == 1
+    assert "--order-seed needs --random-order" in res.stderr
+    assert not out.exists()
+    # --random-order alone shuffles with seed 0.
+    stats = []
+    for seed in ([], ["--order-seed", "0"]):
+        assert run("solve", str(GOLDEN), "--random-order", *seed,
+                   "--out", str(out)).returncode == 0
+        stats.append(load_solution(out).stats.nodes_visited)
+    assert stats[0] == stats[1]
+
+
 @pytest.mark.parametrize("budget", [
     ("--budget-ms", "0"),
     ("--budget-ms", "-5"),

@@ -49,10 +49,16 @@ def assert_consistent(st):
     assert st.fp_count == compute_loss(st.problem, st.grid.config(st.positions))
 
 
+def price(st, j, row):
+    """One edge's false-positive total and packed union, the reference for peek_edge."""
+    union = st.rows[j, row] | st.fp
+    return int(np.bitwise_count(union).sum()), union
+
+
 def apply(st, j, row):
     """Price one edge, enter it with that total and return the new count."""
-    total, _ = st.peek_edge(j, row)
-    st.apply_edge(j, row, int(total))
+    total, _ = price(st, j, row)
+    st.apply_edge(j, row, total)
     return st.fp_count
 
 
@@ -78,10 +84,13 @@ def test_root_state_toy(toy):
 
 def test_apply_undo_single_edge(toy):
     st = make_state(toy)
-    peek_total, peek_union = st.peek_edge(0, 2)
+    peek_total, peek_union = price(st, 0, 2)
     assert peek_total == 2 and np.flatnonzero(bits(peek_union, 3)).tolist() == [0, 1]
+    js, totals, unions = st.peek_edge(2, None)
+    assert js.tolist() == [0, 1] and totals[0] == peek_total
+    assert np.array_equal(unions[0], peek_union)
     assert st.fp_count == 0 and not fp_bits(st).any()  # peek does not mutate
-    st.apply_edge(0, 2, int(peek_total))
+    st.apply_edge(0, 2, peek_total)
     assert st.fp_count == 2
     assert np.flatnonzero(fp_bits(st)).tolist() == [0, 1]
     assert st.positions.tolist() == [2, 0]
@@ -130,8 +139,6 @@ def test_monotonicity_and_empty_journal(toy):
     apply(st, 0, 2)
     with pytest.raises(MonotonicityViolation):
         st.apply_edge(0, 1, st.fp_count)
-    with pytest.raises(MonotonicityViolation):
-        st.peek_edge(0, 0)
     # A refused edge changes nothing.
     assert len(st.journal) == 1 and st.positions.tolist() == [2, 0]
     assert_consistent(st)
@@ -167,10 +174,10 @@ def test_random_walk_apply_undo_round_trip(seed):
             continue
         row = rng.choice(rows)
         target = st.row_position[j, row]
-        total, union = st.peek_edge(j, row)
+        total, union = price(st, j, row)
         union_bits = bits(union, prob.num_negatives)
         before_neg = fp_bits(st)
-        st.apply_edge(j, row, int(total))
+        st.apply_edge(j, row, total)
         assert st.positions[j] == target
         # peek promised exactly what apply delivered, and the carried total
         # is the count of the new set and the batch loss
@@ -264,41 +271,6 @@ def test_cover_position_is_first_candidate_below(prob):
             assert (cands[:t] >= score).all()
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_array_peek_equals_scalar_peeks(seed):
-    prob = small_problem(seed)
-    st = make_state(prob)
-    rng = random.Random(seed)
-    E = prob.num_classifiers
-
-    def looser(j):
-        return rng.choice(looser_rows(st, j))
-
-    for _ in range(3):
-        j = rng.randrange(E)
-        apply(st, j, looser(j))
-    rows = np.array([looser(j) for j in range(E)])
-    totals, unions = st.peek_edge(np.arange(E), rows)
-    assert totals.shape == (E,) and unions.shape == (E, st.fp.size)
-    for j in range(E):
-        total, union = st.peek_edge(j, int(rows[j]))
-        assert totals[j] == total and np.array_equal(unions[j], union)
-    # A slice of classifiers and one row: the search's call.
-    row = rng.randrange(st.rows.shape[1])
-    if all(st.row_position[j, row] > st.positions[j] for j in range(E)):
-        js, totals, unions = st.peek_edge(slice(None), row)
-        assert js.tolist() == list(range(E))
-        for j in range(E):
-            total, union = st.peek_edge(j, row)
-            assert totals[j] == total and np.array_equal(unions[j], union)
-    raised = [j for j in range(E) if st.positions[j] > 0]
-    if raised:
-        tighter = rows.copy()
-        tighter[rng.choice(raised)] = 0
-        with pytest.raises(MonotonicityViolation):
-            st.peek_edge(np.arange(E), tighter)
-
-
 def test_no_negatives_costs_nothing():
     p = Problem(
         positive_scores=np.array([[5.0, 1.0], [2.0, 3.0]]),
@@ -309,36 +281,10 @@ def test_no_negatives_costs_nothing():
     assert difficulty_order(st)[0].tolist() == [0, 0]
     # Every positive is covered at the root: only the empty row is left.
     assert st.live.size == 0 and st.rows.shape == (2, 1, 0)
-    totals, unions = st.peek_edge(np.arange(2), 0)
-    assert totals.tolist() == [0, 0] and unions.shape == (2, 0)
+    # The empty row is reached at the root, so its level is covered.
+    assert st.peek_edge(0, None) is None and st.peek_edge(0, 1) is None
     assert apply(st, 0, 0) == 0
     assert_consistent(st)
-
-
-@pytest.mark.parametrize("seed", range(15))
-def test_level_peek_is_covered_exactly_when_a_classifier_reached_it(seed):
-    """Along random walks, a level's peek returns None exactly when some
-    classifier has reached its positive's cover position; otherwise every
-    classifier's total and union equal that edge's own peek."""
-    for prob in (small_problem(seed), tie_heavy_problem(seed)):
-        st = make_state(prob)
-        rng = random.Random(seed)
-        E = prob.num_classifiers
-        for _ in range(12):
-            for d in range(st.rows.shape[1]):
-                reached = d == 0 or bool(covering(st, st.live[d - 1]))
-                priced = st.peek_edge(slice(None), d)
-                assert (priced is None) == reached
-                if priced is not None:
-                    js, totals, unions = priced
-                    assert js.tolist() == list(range(E))
-                    for j in range(E):
-                        total, union = st.peek_edge(j, d)
-                        assert totals[j] == total and np.array_equal(unions[j], union)
-            j = rng.randrange(E)
-            apply(st, j, rng.choice(looser_rows(st, j)))
-            assert_consistent(st)
-
 
 
 DBL_MAX = float(np.finfo(np.float64).max)
@@ -375,32 +321,34 @@ def test_edge_cost_is_its_row_popcount(seed):
 
 
 @pytest.mark.parametrize("seed", range(15))
-def test_level_peek_under_an_incumbent_prices_only_live_edges(seed):
-    """Along random walks and a falling incumbent U, a level's peek returns
-    exactly the full peek's children whose edge costs less than U, in
-    ascending j, and still None for a covered level."""
+def test_level_peek_is_covered_exactly_when_a_classifier_reached_it(seed):
+    """Along random walks, with no bound and under a falling one, a level's
+    peek returns None exactly when some classifier has reached its positive's
+    cover position.  Otherwise it returns the classifiers whose edge costs
+    less than the bound, in ascending j, each with its own edge's total and union."""
     for prob in (small_problem(seed), tie_heavy_problem(seed)):
-        full, bounded = make_state(prob), make_state(prob)
+        st = make_state(prob)
         rng = random.Random(seed)
         E = prob.num_classifiers
-        incumbent = int(full.edge_cost.max()) + 1
+        falling = int(st.edge_cost.max()) + 1
         for step in range(12):
             if step % 3 == 0:
-                incumbent = rng.randint(0, incumbent)
-                bounded.incumbent = incumbent
-            for d in range(full.rows.shape[1]):
-                priced, live = full.peek_edge(slice(None), d), bounded.peek_edge(slice(None), d)
-                assert (live is None) == (priced is None)
-                if priced is None:
-                    continue
-                js, totals, unions = priced
-                keep = full.edge_cost[:, d] < incumbent
-                live_js, live_totals, live_unions = live
-                assert live_js.tolist() == js[keep].tolist() == sorted(live_js.tolist())
-                assert np.array_equal(live_totals, totals[keep])
-                assert np.array_equal(live_unions, unions[keep])
+                falling = rng.randint(0, falling)
+            for d in range(st.rows.shape[1]):
+                reached = d == 0 or bool(covering(st, st.live[d - 1]))
+                for bound in (None, falling):
+                    priced = st.peek_edge(d, bound)
+                    assert (priced is None) == reached
+                    if priced is None:
+                        continue
+                    js, totals, unions = priced
+                    keep = range(E) if bound is None else np.flatnonzero(
+                        st.edge_cost[:, d] < bound)
+                    assert js.tolist() == list(keep)
+                    assert totals.shape == js.shape and unions.shape == (len(js), st.fp.size)
+                    for j, total, union in zip(js.tolist(), totals, unions):
+                        ref_total, ref_union = price(st, j, d)
+                        assert total == ref_total and np.array_equal(union, ref_union)
             j = rng.randrange(E)
-            row = rng.choice(looser_rows(full, j))
-            apply(full, j, row)
-            apply(bounded, j, row)
-            assert bounded.fp_count == full.fp_count
+            apply(st, j, rng.choice(looser_rows(st, j)))
+            assert_consistent(st)
