@@ -322,33 +322,55 @@ def test_edge_cost_is_its_row_popcount(seed):
 
 @pytest.mark.parametrize("seed", range(15))
 def test_level_peek_is_covered_exactly_when_a_classifier_reached_it(seed):
-    """Along random walks, with no bound and under a falling one, a level's
-    peek returns None exactly when some classifier has reached its positive's
-    cover position.  Otherwise it returns the classifiers whose edge costs
-    less than the bound, in ascending j, each with its own edge's total and union."""
+    """Along random walks, a level's unbounded peek returns None exactly when
+    some classifier has reached its positive's cover position; otherwise it
+    returns every classifier, in ascending j, each with its own edge's total
+    and union."""
     for prob in (small_problem(seed), tie_heavy_problem(seed)):
         st = make_state(prob)
         rng = random.Random(seed)
         E = prob.num_classifiers
-        falling = int(st.edge_cost.max()) + 1
-        for step in range(12):
-            if step % 3 == 0:
-                falling = rng.randint(0, falling)
+        for _ in range(12):
             for d in range(st.rows.shape[1]):
                 reached = d == 0 or bool(covering(st, st.live[d - 1]))
-                for bound in (None, falling):
-                    priced = st.peek_edge(d, bound)
-                    assert (priced is None) == reached
-                    if priced is None:
-                        continue
-                    js, totals, unions = priced
-                    keep = range(E) if bound is None else np.flatnonzero(
-                        st.edge_cost[:, d] < bound)
-                    assert js.tolist() == list(keep)
-                    assert totals.shape == js.shape and unions.shape == (len(js), st.fp.size)
-                    for j, total, union in zip(js.tolist(), totals, unions):
-                        ref_total, ref_union = price(st, j, d)
-                        assert total == ref_total and np.array_equal(union, ref_union)
+                priced = st.peek_edge(d, None)
+                assert (priced is None) == reached
+                if priced is None:
+                    continue
+                js, totals, unions = priced
+                assert js.tolist() == list(range(E))
+                assert totals.shape == js.shape and unions.shape == (E, st.fp.size)
+                for j, total, union in zip(js.tolist(), totals, unions):
+                    ref_total, ref_union = price(st, j, d)
+                    assert total == ref_total and np.array_equal(union, ref_union)
             j = rng.randrange(E)
+            apply(st, j, rng.choice(looser_rows(st, j)))
+            assert_consistent(st)
+
+
+@pytest.mark.parametrize("seed", range(15))
+def test_level_peek_under_an_incumbent_prices_only_live_edges(seed):
+    """Along random walks and a falling incumbent U, a level's peek under U
+    returns exactly the unbounded peek's children whose edge costs less than
+    U, in ascending j, and still None for a covered level."""
+    for prob in (small_problem(seed), tie_heavy_problem(seed)):
+        st = make_state(prob)
+        rng = random.Random(seed)
+        incumbent = int(st.edge_cost.max()) + 1
+        for step in range(12):
+            if step % 3 == 0:
+                incumbent = rng.randint(0, incumbent)
+            for d in range(st.rows.shape[1]):
+                priced, live = st.peek_edge(d, None), st.peek_edge(d, incumbent)
+                assert (live is None) == (priced is None)
+                if priced is None:
+                    continue
+                js, totals, unions = priced
+                keep = st.edge_cost[:, d] < incumbent
+                live_js, live_totals, live_unions = live
+                assert live_js.tolist() == js[keep].tolist() == sorted(live_js.tolist())
+                assert np.array_equal(live_totals, totals[keep])
+                assert np.array_equal(live_unions, unions[keep])
+            j = rng.randrange(st.problem.num_classifiers)
             apply(st, j, rng.choice(looser_rows(st, j)))
             assert_consistent(st)
