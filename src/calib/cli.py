@@ -3,7 +3,9 @@
 Diagnostics go to standard error; data goes to files or standard output.
 Exit codes: 0 success/optimal, 1 usage, 2 validation or parse failure,
 3 budget-truncated (feasible but not proven optimal), 4 oracle grid too
-large.  CALIB_LOG={quiet,info,trace} controls stderr verbosity.
+large.  CALIB_LOG={quiet,info,trace} controls stderr verbosity; ``trace``,
+or ``solve --trace`` for one run, adds the search's incumbents.  A run
+report's fields, on a log line or in a CSV, are loss, optimal and SearchStats's.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .calibrators import JOINT_METHODS, METHODS, load_model, save_model
@@ -48,6 +50,21 @@ EXIT_TRUNCATED = 3
 EXIT_TOO_LARGE = 4
 
 log = logging.getLogger("calib")
+
+# A run report's fields; the incumbent history fills no log line or CSV cell.
+_RUN_FIELDS = ("loss", "optimal",
+               *(f.name for f in fields(SearchStats) if f.name != "incumbent_history"))
+
+
+def _run_values(solution: Solution) -> list:
+    """The _RUN_FIELDS of one run, each float as %.3f text."""
+    values = [solution.loss, solution.optimal,
+              *(getattr(solution.stats, name) for name in _RUN_FIELDS[2:])]
+    return [f"{v:.3f}" if isinstance(v, float) else v for v in values]
+
+
+def _run_line(solution: Solution) -> str:
+    return " ".join(f"{k}={v}" for k, v in zip(_RUN_FIELDS, _run_values(solution)))
 
 
 class _NegativeNumber:
@@ -124,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument("--order-seed", type=int, help="seed of --random-order (default 0)")
     solve.add_argument("--trace", action="store_true",
-                       help="stream incumbent improvements to stderr")
+                       help="log every incumbent to stderr, as CALIB_LOG=trace does")
     solve.add_argument("--out", required=True)
 
     oracle = sub.add_parser("oracle", help="brute-force the candidate grid")
@@ -192,12 +209,9 @@ def _cmd_solve(args) -> int:
     if args.order_seed is not None and not args.random_order:
         print("calib solve: error: --order-seed needs --random-order", file=sys.stderr)
         return EXIT_USAGE
+    if args.trace:
+        log.setLevel(logging.DEBUG)
     problem = load_problem(args.problem)
-    trace = None
-    if args.trace or log.isEnabledFor(logging.DEBUG):
-        def trace(ms, nodes, loss):
-            print(f"incumbent ms={ms:.3f} nodes={nodes} loss={loss}",
-                  file=sys.stderr)
     try:
         options = SearchOptions(
             enable_prune_bound=not args.no_prune_bound,
@@ -207,20 +221,13 @@ def _cmd_solve(args) -> int:
             budget_ms=args.budget_ms,
             node_budget=args.node_budget,
             random_order_seed=(args.order_seed or 0) if args.random_order else None,
-            trace=trace,
         )
     except ValueError as e:
         raise InvalidSpec(str(e)) from e
     # --mode changes nothing: a budget is what makes a run anytime.
     solution = solve_anytime(problem, options)
     save_solution(solution, args.out)
-    log.info(
-        "loss=%d optimal=%s nodes=%d pruned_bound=%d pruned_equiv=%d "
-        "root_removed=%d wall_ms=%.1f",
-        solution.loss, solution.optimal, solution.stats.nodes_visited,
-        solution.stats.nodes_pruned_bound, solution.stats.nodes_pruned_equivalence,
-        solution.stats.positives_removed_by_root, solution.stats.wall_time_ms,
-    )
+    log.info("%s", _run_line(solution))
     return EXIT_OK if solution.optimal else EXIT_TRUNCATED
 
 
@@ -329,29 +336,17 @@ def _cmd_bench(args) -> int:
             open(curve_path, "w", newline="") as cf:
         nodes_csv = csv.writer(nf)
         curve_csv = csv.writer(cf)
-        nodes_csv.writerow([
-            "config", "seed", "loss", "optimal", "nodes_visited",
-            "nodes_pruned_bound", "nodes_pruned_equivalence",
-            "positives_removed_by_root", "levels", "wall_ms",
-        ])
+        nodes_csv.writerow(["config", "seed", *_RUN_FIELDS])
         curve_csv.writerow(["config", "seed", "elapsed_ms", "loss"])
         for spec in specs:
             seed = spec.seed
             train, _ = generate(spec)
             for name, options in ablations:
                 solution = solve_exact(train, replace(options, random_order_seed=seed))
-                stats = solution.stats
-                nodes_csv.writerow([
-                    name, seed, solution.loss, solution.optimal,
-                    stats.nodes_visited, stats.nodes_pruned_bound,
-                    stats.nodes_pruned_equivalence,
-                    stats.positives_removed_by_root, stats.levels,
-                    f"{stats.wall_time_ms:.3f}",
-                ])
-                for ms, loss in stats.incumbent_history:
+                nodes_csv.writerow([name, seed, *_run_values(solution)])
+                for ms, loss in solution.stats.incumbent_history:
                     curve_csv.writerow([name, seed, f"{ms:.3f}", loss])
-                log.info("bench %s seed=%d loss=%d nodes=%d", name, seed,
-                         solution.loss, stats.nodes_visited)
+                log.info("bench %s seed=%d %s", name, seed, _run_line(solution))
     log.info("wrote %s and %s", nodes_path, curve_path)
     return EXIT_OK
 

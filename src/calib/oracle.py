@@ -15,6 +15,7 @@ tests and small instances.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,8 +56,10 @@ def oracle_solve(problem: Problem, cap: int = GRID_CAP) -> OracleResult:
 
     Returns the lexicographically smallest optimal configuration (compared
     by threshold values).  Raises TooLarge when the grid exceeds cap cells,
-    and ValidationError when cap is below 1.
+    and ValidationError when cap is no integer or below 1.
     """
+    if isinstance(cap, bool) or not isinstance(cap, numbers.Integral):
+        raise ValidationError(f"cap must be an integer, got {cap!r}")
     if cap < 1:
         raise ValidationError(f"cap must be at least 1, got {cap}")
     grid = extract_candidates(problem)

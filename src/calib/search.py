@@ -19,11 +19,12 @@ prune, and the traversal is unchanged.
 
 from __future__ import annotations
 
+import logging
+import math
 import numbers
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from .problem import (
 )
 from .thresholds import extract_candidates
 
-TraceFn = Callable[[float, int, int], None]
+log = logging.getLogger(__name__)
 
 PRUNING_FLAGS = (
     "enable_prune_bound",
@@ -79,26 +80,22 @@ class SearchOptions:
     budget_ms: float | None = None
     node_budget: int | None = None
     random_order_seed: int | None = None
-    trace: TraceFn | None = None
 
     def __post_init__(self):
-        # A bool is an int to Python, but no budget.
-        if isinstance(self.budget_ms, bool):
-            raise ValueError(f"budget_ms must be a number, got {self.budget_ms!r}")
-        # `not x > 0` also rejects NaN.
-        if self.budget_ms is not None and not self.budget_ms > 0:
-            raise ValueError("budget_ms must be positive")
-        if self.node_budget is not None and (
-                isinstance(self.node_budget, bool)
-                or not isinstance(self.node_budget, numbers.Integral)):
-            raise ValueError(f"node_budget must be an integer, got {self.node_budget!r}")
-        if self.node_budget is not None and not self.node_budget > 0:
-            raise ValueError("node_budget must be positive")
-        seed = self.random_order_seed
-        if seed is not None:
-            if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-                raise ValueError(f"random_order_seed must be an integer, got {seed!r}")
-            self.random_order_seed = int(seed)  # random.Random takes no numpy int
+        # A bool is an int to Python, but no budget or seed.
+        for name, kind, noun in (("budget_ms", numbers.Real, "a number"),
+                                 ("node_budget", numbers.Integral, "an integer"),
+                                 ("random_order_seed", numbers.Integral, "an integer")):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool) or not isinstance(value, kind)):
+                raise ValueError(f"{name} must be {noun}, got {value!r}")
+        for name in ("budget_ms", "node_budget"):
+            # `not x > 0` also rejects NaN.
+            if getattr(self, name) is not None and not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        if self.random_order_seed is not None:
+            # random.Random takes no numpy int.
+            self.random_order_seed = int(self.random_order_seed)
 
 
 def difficulty_order(state: CoverState) -> tuple[np.ndarray, list[int]]:
@@ -244,7 +241,9 @@ def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solut
 
     Optimal unless a budget in ``options`` fires first; then the best
     incumbent is returned (feasible, since the first descent always
-    completes) with ``optimal`` False.
+    completes) with ``optimal`` False.  Each new incumbent is logged at
+    DEBUG on the ``calib.search`` logger and kept in
+    ``stats.incumbent_history``.
     """
     if options is None:
         options = SearchOptions()
@@ -267,16 +266,9 @@ def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solut
     def elapsed_ms() -> float:
         return (time.perf_counter() - t0) * 1000.0
 
-    def over_budget() -> bool:
-        if options.budget_ms is not None and elapsed_ms() >= options.budget_ms:
-            return True
-        if (
-            best_loss is not None  # node budget never interrupts the first descent
-            and options.node_budget is not None
-            and stats.nodes_visited >= options.node_budget
-        ):
-            return True
-        return False
+    # The budgets as limits on the clock and the node count, inf for none.
+    deadline = math.inf if options.budget_ms is None else t0 + options.budget_ms / 1000.0
+    node_cap = math.inf if options.node_budget is None else options.node_budget
 
     def plan_children(js: np.ndarray, totals: np.ndarray, unions: np.ndarray) -> list | None:
         """False-positive totals and classifiers of the children below the
@@ -334,8 +326,7 @@ def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solut
         bound = best_loss if options.enable_prune_bound else None
         ms = elapsed_ms()
         stats.incumbent_history.append((ms, best_loss))
-        if options.trace is not None:
-            options.trace(ms, stats.nodes_visited, best_loss)
+        log.debug("incumbent ms=%.3f nodes=%d loss=%d", ms, stats.nodes_visited, best_loss)
 
     def enter(depth: int) -> bool:
         """Visit a node and the pass-through nodes below it; False once a budget has fired.
@@ -349,7 +340,9 @@ def solve_exact(problem: Problem, options: SearchOptions | None = None) -> Solut
         """
         while True:
             stats.nodes_visited += 1
-            if over_budget():
+            # The node cap never interrupts the first descent.
+            if time.perf_counter() >= deadline or (
+                    stats.nodes_visited >= node_cap and best_loss is not None):
                 return False
             if depth == h:
                 if best_loss is None or state.fp_count < best_loss:

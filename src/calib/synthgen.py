@@ -43,6 +43,7 @@ so neither the blocks nor the rewind change a bit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,6 +187,11 @@ class GenerateSpec:
             raise InvalidSpec("num_negatives must be >= 0")
         if self.dimensions < 1:
             raise InvalidSpec("dimensions must be >= 1")
+        for name in ("spread", "noise", "split_fraction", "hardness_fraction",
+                     "hardness_scale"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise InvalidSpec(f"{name} must be a number, got {value!r}")
         for name in ("spread", "noise", "hardness_scale"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidSpec(f"{name} must be finite, got {getattr(self, name)!r}")

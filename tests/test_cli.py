@@ -85,6 +85,13 @@ def test_readme_cli_quick_start_runs(tmp_path):
     assert res.returncode == 0, res.stderr
 
 
+def test_readme_library_quick_start_runs():
+    """The first fenced python block under the README's "Quick start (library)"."""
+    section = README.read_text(encoding="utf-8").split("## Quick start (library)\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+
+
 def test_generate_reproduces_golden_bytes(tmp_path):
     out = tmp_path / "p.json"
     res = run("generate", *GOLDEN_ARGS, "--out", str(out))
@@ -176,6 +183,24 @@ def test_solve_trace_prints_incumbents(tmp_path):
     assert res.returncode == 0
     assert "incumbent ms=" in res.stderr
     assert "loss=3" in res.stderr
+
+
+@pytest.mark.parametrize("env_log, flags", [("trace", []), ("quiet", ["--trace"])],
+                         ids=["calib-log-trace", "trace-flag-quiet"])
+def test_trace_logs_one_line_per_incumbent(tmp_path, env_log, flags):
+    prob_path, out = tmp_path / "p.json", tmp_path / "sol.json"
+    save_problem(small_problem(14), prob_path)  # two incumbents
+    res = run("solve", str(prob_path), *flags, "--out", str(out), env_log=env_log)
+    assert res.returncode == 0
+    lines = res.stderr.splitlines()
+    logged = [dict(t.split("=") for t in line.split()[1:])
+              for line in lines if line.startswith("incumbent ")]
+    history = load_solution(out).stats.incumbent_history
+    assert len(history) == 2
+    assert [(d["ms"], int(d["loss"])) for d in logged] == [
+        (f"{ms:.3f}", loss) for ms, loss in history]
+    # --trace sets the one logger to DEBUG, so the info summary line shows too.
+    assert lines[-1].startswith("loss=12 optimal=True ")
 
 
 def test_solve_expired_budget_exits_3(tmp_path):
@@ -601,6 +626,28 @@ def test_bench_writes_ablation_grid(tmp_path):
     curves = (tmp_path / "bench_incumbents.csv").read_text().splitlines()
     assert curves[0] == "config,seed,elapsed_ms,loss"
     assert len(curves) > 1
+
+
+def test_run_report_fields_are_search_stats(tmp_path):
+    out = tmp_path / "sol.json"
+    res = run("solve", str(GOLDEN), "--out", str(out), env_log="info")
+    assert res.returncode == 0
+    summary = [t.split("=")[0] for t in res.stderr.splitlines()[-1].split()]
+    stats = json.loads(out.read_text())["stats"]
+    spec = tmp_path / "bench.json"
+    spec.write_text(json.dumps({"seeds": [1], "classifiers": 3, "positives": 5}))
+    res = run("bench", str(spec), "--out-dir", str(tmp_path), env_log="info")
+    assert res.returncode == 0
+    with open(tmp_path / "bench_nodes.csv", newline="") as fh:
+        header = next(csv.reader(fh))
+    assert header[:2] == ["config", "seed"]
+    expected = ["loss", "optimal", *(k for k in stats if k != "incumbent_history")]
+    assert summary == header[2:] == expected
+    # Each bench progress line carries the same fields after its config and seed.
+    progress = [line.split()[3:] for line in res.stderr.splitlines()
+                if line.startswith("bench ")]
+    assert len(progress) == 6
+    assert all([t.split("=")[0] for t in p] == expected for p in progress)
 
 
 @pytest.mark.parametrize("spec, named", [

@@ -9,6 +9,7 @@ import pytest
 from calib import (
     Problem,
     TooLarge,
+    ValidationError,
     check_feasible,
     compute_loss,
     extract_candidates,
@@ -191,6 +192,13 @@ def test_oracle_cap():
     small = Problem(rng.normal(size=(2, 2)), rng.normal(size=(2, 4)))
     res = oracle_solve(small, cap=1000)
     assert res.enumerated == math.prod(extract_candidates(small).lengths.tolist())
+    # A cap is an integer of at least 1: True is no cap of 1, nor "5" one of 5.
+    for bad in (True, False, "5", 5.0, None):
+        with pytest.raises(ValidationError, match="cap must be an integer"):
+            oracle_solve(small, cap=bad)
+    with pytest.raises(ValidationError, match="cap must be at least 1"):
+        oracle_solve(small, cap=0)
+    assert oracle_solve(small, cap=np.int64(1000)).loss == res.loss
 
 
 def test_oracle_memory_bounded_by_block():

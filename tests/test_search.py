@@ -1,6 +1,7 @@
 """Branch-and-bound search: exact optimality, ablations, budgets, redundancy."""
 
 import hashlib
+import logging
 
 import numpy as np
 import pytest
@@ -238,19 +239,35 @@ def test_random_order_still_exact():
         assert solve_exact(prob, opts).loss == ref
 
 
-def test_trace_callback_fires(toy):
-    events = []
-    solve_exact(toy, SearchOptions(trace=lambda ms, nodes, loss: events.append(loss)))
-    assert events == [2]
+@pytest.fixture
+def incumbent_log(caplog, monkeypatch):
+    """caplog at DEBUG on calib.search.  The calib logger's own handlers go
+    for the test: an in-process CLI run may have left one on a closed stream."""
+    monkeypatch.setattr(logging.getLogger("calib"), "handlers", [])
+    caplog.set_level(logging.DEBUG, logger="calib.search")
+    return caplog
 
 
-def test_trace_times_equal_incumbent_history():
-    # the trace callback and the stored history read one clock reading each
+def incumbent_records(caplog):
+    """(ms, loss) of each incumbent record on the calib.search logger, all at DEBUG."""
+    records = [r for r in caplog.records if r.name == "calib.search"]
+    assert all(r.levelno == logging.DEBUG for r in records)
+    assert all(r.msg == "incumbent ms=%.3f nodes=%d loss=%d" for r in records)
+    return [(r.args[0], r.args[2]) for r in records]
+
+
+def test_incumbent_log_fires(toy, incumbent_log):
+    solve_exact(toy)
+    assert [loss for _, loss in incumbent_records(incumbent_log)] == [2]
+    assert incumbent_log.records[0].getMessage().startswith("incumbent ms=")
+
+
+def test_trace_times_equal_incumbent_history(incumbent_log):
+    # the log record and the stored history read one clock reading each
     for seed in range(10):
-        events = []
-        opts = SearchOptions(trace=lambda ms, nodes, loss: events.append((ms, loss)))
-        sol = solve_exact(small_problem(seed), opts)
-        assert events == sol.stats.incumbent_history
+        incumbent_log.clear()
+        sol = solve_exact(small_problem(seed))
+        assert incumbent_records(incumbent_log) == sol.stats.incumbent_history
 
 
 def test_options_validation():
@@ -264,7 +281,8 @@ def test_options_validation():
     for bad in (True, False, 2.5, 2.0, float("inf"), "10"):
         with pytest.raises(ValueError, match="node_budget must be an integer"):
             SearchOptions(node_budget=bad)
-    for bad in (True, False):
+    # A non-number is no wall budget either, though `"5" > 0` raises TypeError.
+    for bad in (True, False, "5", b"5", [1], 1j):
         with pytest.raises(ValueError, match="budget_ms must be a number"):
             SearchOptions(budget_ms=bad)
     for bad in (True, 2.5, 3.0, "x", b"x"):

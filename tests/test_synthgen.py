@@ -169,6 +169,13 @@ def test_spec_validation():
     for bad in ({"seed": True}, {"seed": 1.5}, {"dimensions": 2.0}):
         with pytest.raises(InvalidSpec):
             replace(BASE, **bad)
+    # Every float field takes a real number but no bool.
+    for name in ("spread", "noise", "split_fraction", "hardness_fraction",
+                 "hardness_scale"):
+        for bad in ("x", "0.5", True, None, 1j, [0.5]):
+            with pytest.raises(InvalidSpec, match=f"{name} must be a number"):
+                replace(BASE, **{name: bad})
+    assert replace(BASE, spread=np.float64(0.25), noise=0).spread == 0.25
     with pytest.raises(InvalidSpec):
         # a split this lopsided leaves no test positives
         generate(replace(BASE, num_positives=1, split_fraction=0.99))
