@@ -10,7 +10,7 @@ solutions approach the optimum.
 
 import argparse
 
-from calib import GenerateSpec, SearchOptions, generate, solve_anytime
+from calib import GenerateSpec, SearchOptions, generate, solve_exact
 
 BUDGET_SWEEP = (10.0, 30.0, 100.0, 300.0, 1000.0, 3000.0)
 
@@ -36,7 +36,7 @@ def main() -> None:
         spread=0.25,
     )
     train, _ = generate(spec)
-    sol = solve_anytime(
+    sol = solve_exact(
         train, SearchOptions(budget_ms=args.budget_ms)
     )
     tag = "optimal" if sol.optimal else "truncated"
@@ -46,7 +46,7 @@ def main() -> None:
 
     print("\nbudget sweep:")
     for budget in BUDGET_SWEEP:
-        s = solve_anytime(train, SearchOptions(budget_ms=budget))
+        s = solve_exact(train, SearchOptions(budget_ms=budget))
         kind = "fallback" if s.fallback else ("optimal" if s.optimal else "incumbent")
         print(f"  {budget:>7.0f} ms  loss {s.loss:>5d}  ({kind})")
 

@@ -11,7 +11,7 @@ recall point and AP for every method.
 import argparse
 import statistics
 
-from calib import GenerateSpec, SearchOptions, compare_methods, generate, solve_anytime
+from calib import GenerateSpec, SearchOptions, compare_methods, generate, solve_exact
 
 METHODS = [
     "joint-thresholds",
@@ -47,7 +47,7 @@ def main() -> None:
             spread=0.2,
         )
         train, test = generate(spec)
-        solution = solve_anytime(
+        solution = solve_exact(
             train, SearchOptions(budget_ms=args.budget_ms)
         )
         report = compare_methods(train, test, METHODS, solution=solution)

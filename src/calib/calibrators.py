@@ -21,7 +21,7 @@ from .errors import (
     ValidationError,
 )
 from .problem import Problem, Solution, check_feasible
-from .problem import _json_list, _json_value, _read_json, _write_json
+from .problem import _json_list, _read_json, _typed_value, _write_json
 
 NEWTON_MAX_ITER = 100
 NEWTON_GRAD_TOL = 1e-10
@@ -487,7 +487,7 @@ def _map_from_doc(doc: dict):
         raise ParseError(f"unknown classifier map kind {kind!r}")
     return MAP_KINDS[kind](**{
         k: _json_list(v, float, f"{kind} {k}") if isinstance(v, list)
-        else _json_value(v, float, f"{kind} {k}")
+        else _typed_value(v, float, f"{kind} {k}")
         for k, v in doc.items() if k != "kind"
     })
 
@@ -506,10 +506,10 @@ def save_model(model: CalibrationModel, path) -> None:
 def load_model(path) -> CalibrationModel:
     doc = _read_json(path)
     try:
-        if _json_value(doc["version"], int, "version") != MODEL_FORMAT_VERSION:
+        if _typed_value(doc["version"], int, "version") != MODEL_FORMAT_VERSION:
             raise ParseError(f"unsupported model version {doc['version']!r}")
         maps = tuple(_map_from_doc(m) for m in doc["classifiers"])
-        if len(maps) != _json_value(doc["num_classifiers"], int, "num_classifiers"):
+        if len(maps) != _typed_value(doc["num_classifiers"], int, "num_classifiers"):
             raise ParseError("num_classifiers does not match classifier list")
         return CalibrationModel(method=doc["method"], maps=maps)
     except (KeyError, TypeError, ValueError, ValidationError) as e:

@@ -6,6 +6,8 @@ Exit codes: 0 success/optimal, 1 usage, 2 validation or parse failure,
 large.  CALIB_LOG={quiet,info,trace} controls stderr verbosity; ``trace``,
 or ``solve --trace`` for one run, adds the search's incumbents.  A run
 report's fields, on a log line or in a CSV, are loss, optimal and SearchStats's.
+``generate``'s flags and a bench spec's generator keys are GenerateSpec's
+fields; GenerateSpec and SearchOptions check every value they carry.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 from .calibrators import JOINT_METHODS, METHODS, load_model, save_model
@@ -30,7 +32,6 @@ from .evaluation import (
 )
 from .oracle import GRID_CAP, oracle_solve
 from .problem import (
-    _json_value,
     _read_json,
     derive_assignment,
     load_problem,
@@ -41,7 +42,7 @@ from .problem import (
     Solution,
 )
 from .search import ABLATIONS, SearchOptions, solve_anytime, solve_exact
-from .synthgen import GenerateSpec, generate
+from .synthgen import _SPEC_KINDS, GenerateSpec, generate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -95,14 +96,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _setup_logging() -> None:
-    level = os.environ.get("CALIB_LOG", "info").strip().lower()
-    numeric = {"quiet": logging.WARNING, "info": logging.INFO, "trace": logging.DEBUG}
+def _setup_logging() -> tuple[list, int]:
+    """Send the calib logger to this run's stderr at CALIB_LOG's level; return
+    its handlers and level before, which main restores: none outlives its run."""
+    saved = log.handlers[:], log.level
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("%(message)s"))
-    log.handlers.clear()
-    log.addHandler(handler)
-    log.setLevel(numeric.get(level, logging.INFO))
+    log.handlers[:] = [handler]
+    level = os.environ.get("CALIB_LOG", "info").strip().lower()
+    log.setLevel({"quiet": logging.WARNING, "trace": logging.DEBUG}.get(level, logging.INFO))
+    return saved
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -110,17 +113,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True, parser_class=_Parser)
 
     gen = sub.add_parser("generate", help="write a seeded synthetic problem")
-    gen.add_argument("--seed", type=int, required=True)
-    gen.add_argument("--classifiers", type=int, required=True)
-    gen.add_argument("--positives", type=int, required=True)
-    gen.add_argument("--negatives", type=int, required=True)
-    # Left unset, these take GenerateSpec's defaults.
-    gen.add_argument("--dims", type=int, default=argparse.SUPPRESS)
-    gen.add_argument("--spread", type=float, default=argparse.SUPPRESS)
-    gen.add_argument("--noise", type=float, default=argparse.SUPPRESS)
-    gen.add_argument("--split", type=float, default=argparse.SUPPRESS)
-    gen.add_argument("--hardness", type=float, default=argparse.SUPPRESS)
-    gen.add_argument("--hardness-scale", type=float, default=argparse.SUPPRESS)
+    # One flag per GenerateSpec field, of the field's kind; a field with a
+    # default may be left unset, and then takes GenerateSpec's default.
+    required = {f.name for f in fields(GenerateSpec) if f.default is MISSING}
+    for flag, name in _SPEC_FIELDS.items():
+        gen.add_argument("--" + flag.replace("_", "-"), type=_SPEC_KINDS[name],
+                         required=name in required, default=argparse.SUPPRESS)
     gen.add_argument("--out", required=True, help="training problem file")
     gen.add_argument("--test-out", help="also write the held-out problem")
 
@@ -295,38 +293,29 @@ def _cmd_evaluate(args) -> int:
 # A bench spec sizes its problems as these unless it says otherwise; it
 # sets every GenerateSpec field but the seed (from "seeds") and the split.
 _BENCH_SIZES = {"classifiers": 8, "positives": 12, "negatives": 60}
-# The JSON type of each bench spec key but "seeds", a list of integers.
-_BENCH_KINDS = {
-    **dict.fromkeys(("classifiers", "positives", "negatives", "dims", "node_budget"), int),
-    **dict.fromkeys(("spread", "noise", "hardness", "hardness_scale", "budget_ms"), float),
-}
-_BENCH_KEYS = set(_BENCH_KINDS) | {"seeds"}
+# The search budgets are the bench spec's other keys.
+_BENCH_KEYS = (set(_SPEC_FIELDS) - {"seed", "split"}) | {"seeds", "budget_ms", "node_budget"}
 
 
 def _cmd_bench(args) -> int:
     doc = _read_json(args.spec)
-    unknown = sorted(set(doc) - _BENCH_KEYS)
-    if unknown:
-        raise InvalidSpec(
-            f"unknown bench spec key(s) {', '.join(unknown)}; "
-            f"known keys: {', '.join(sorted(_BENCH_KEYS))}"
-        )
     try:
-        # Each key is read as its JSON type: true is neither a number nor a count.
-        given = {**_BENCH_SIZES, **{
-            k: _json_value(v, _BENCH_KINDS[k], _SPEC_FIELDS[k])
-            for k, v in doc.items() if k in _SPEC_FIELDS
-        }}
+        unknown = sorted(set(doc) - _BENCH_KEYS)
+        if unknown:
+            raise InvalidSpec(
+                f"unknown bench spec key(s) {', '.join(unknown)}; "
+                f"known keys: {', '.join(sorted(_BENCH_KEYS))}"
+            )
+        # GenerateSpec and SearchOptions check each value: true is no number or count.
+        given = {**_BENCH_SIZES, **{k: v for k, v in doc.items() if k in _SPEC_FIELDS}}
         seeds = doc.get("seeds", [1])
         if not isinstance(seeds, list):
             raise ParseError("seeds is not an array")
-        specs = [_generate_spec({**given, "seed": _json_value(seed, int, "seed")})
-                 for seed in seeds]
-        budgets = {k: _json_value(doc[k], _BENCH_KINDS[k], k)
-                   for k in ("budget_ms", "node_budget") if doc.get(k) is not None}
+        specs = [_generate_spec({**given, "seed": seed}) for seed in seeds]
+        budgets = {k: doc[k] for k in ("budget_ms", "node_budget") if doc.get(k) is not None}
         ablations = [(name, SearchOptions(**budgets, **flags))
                      for name, flags in ABLATIONS.items()]
-    except (ParseError, ValueError) as e:
+    except (CalibError, ValueError) as e:
         raise InvalidSpec(f"{args.spec}: {e}") from e
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -362,9 +351,9 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    _setup_logging()
-    args = _build_parser().parse_args(argv)
+    handlers, level = _setup_logging()
     try:
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.verb](args)
     except TooLarge as e:
         print(f"calib {args.verb}: {e}", file=sys.stderr)
@@ -378,6 +367,9 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as e:
         print(f"calib {args.verb}: out of memory: {e}", file=sys.stderr)
         return EXIT_INVALID
+    finally:
+        log.handlers[:] = handlers
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -15,13 +15,12 @@ tests and small instances.
 from __future__ import annotations
 
 import itertools
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import TooLarge, ValidationError
-from .problem import Problem
+from .problem import Problem, _typed_value
 from .thresholds import extract_candidates, packed_above
 
 GRID_CAP = 10_000_000
@@ -58,8 +57,7 @@ def oracle_solve(problem: Problem, cap: int = GRID_CAP) -> OracleResult:
     by threshold values).  Raises TooLarge when the grid exceeds cap cells,
     and ValidationError when cap is no integer or below 1.
     """
-    if isinstance(cap, bool) or not isinstance(cap, numbers.Integral):
-        raise ValidationError(f"cap must be an integer, got {cap!r}")
+    cap = _typed_value(cap, int, "cap", ValidationError)
     if cap < 1:
         raise ValidationError(f"cap must be at least 1, got {cap}")
     grid = extract_candidates(problem)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import numbers
 import os
 from collections import Counter
 from dataclasses import dataclass, field, fields
@@ -36,6 +37,17 @@ PROBLEM_FORMAT_VERSION = 1
 # Marker used in Solution.assignment for positives satisfied by the
 # all-tightest root configuration (no single classifier is credited).
 ROOT_COVERED = "root-covered"
+
+
+def _real_matrix(m, name: str) -> np.ndarray:
+    """m as a float64 array; ValidationError, naming the field, for a ragged
+    m or an entry that is no real number (numpy would drop an imaginary part)."""
+    try:
+        if np.iscomplexobj(m):
+            raise TypeError("complex values")
+        return np.asarray(m, dtype=np.float64)
+    except (TypeError, ValueError) as e:
+        raise ValidationError(f"{name} must be a matrix of real numbers: {e}") from None
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -69,8 +81,8 @@ class Problem:
     metadata: dict[str, str] | None = None
 
     def __post_init__(self):
-        pos = np.asarray(self.positive_scores, dtype=np.float64)
-        neg = np.asarray(self.negative_scores, dtype=np.float64)
+        pos = _real_matrix(self.positive_scores, "positive_scores")
+        neg = _real_matrix(self.negative_scores, "negative_scores")
         if pos.ndim != 2:
             raise ValidationError("positive_scores must be a 2-d matrix")
         if neg.ndim != 2:
@@ -315,18 +327,26 @@ def _write_json(doc: dict, path) -> None:
         raise
 
 
-# The JSON types each kind of field accepts.  Types match exactly, so true
-# and false (Python ints) are neither numbers nor counts.
-_JSON_KINDS = {float: ({int, float}, "a number"), int: ({int}, "an integer"),
-               bool: ({bool}, "true or false"), str: ({str}, "a string")}
+# Per kind of value: the JSON types a list of it may hold as they are, the
+# types it accepts, and its name.  A bool is an int to Python, but neither a
+# number nor a count here.
+_KINDS = {float: ({int, float}, numbers.Real, "a number"),
+          int: ({int}, numbers.Integral, "an integer"),
+          bool: ({bool}, bool, "true or false"), str: ({str}, str, "a string")}
 
 
-def _json_value(value, kind: type, where: str):
-    """value read from JSON as kind (float, int, bool or str); else ParseError."""
-    types, name = _JSON_KINDS[kind]
-    if type(value) not in types:
-        raise ParseError(f"{where} must be {name}, got {value!r}")
-    return kind(value)
+def _typed_value(value, kind: type, where: str, error: type[Exception] = ParseError):
+    """value as a plain kind: float from any numbers.Real, int from any
+    numbers.Integral (never a bool), bool or str; else error naming where."""
+    if type(value) is kind:
+        return value
+    _, accepted, name = _KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise error(f"{where} must be {name}, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError:
+        raise error(f"{where} must be {name} within float range") from None
 
 
 def _check_json_list(values, kind: type, where: str) -> None:
@@ -334,9 +354,9 @@ def _check_json_list(values, kind: type, where: str) -> None:
     bad entry."""
     if not isinstance(values, list):
         raise ParseError(f"{where} is not an array")
-    if not _JSON_KINDS[kind][0].issuperset(map(type, values)):
+    if not _KINDS[kind][0].issuperset(map(type, values)):
         for i, v in enumerate(values):
-            _json_value(v, kind, f"{where}[{i}]")
+            _typed_value(v, kind, f"{where}[{i}]")
 
 
 def _json_list(values, kind: type, where: str) -> list:
@@ -379,10 +399,10 @@ def load_problem(path) -> Problem:
     offending row/column.
     """
     doc = _read_json(path)
-    version = _json_value(doc.get("version"), int, "version")
+    version = _typed_value(doc.get("version"), int, "version")
     if version != PROBLEM_FORMAT_VERSION:
         raise ParseError(f"unsupported problem format version {version!r}")
-    e = _json_value(doc.get("num_classifiers"), int, "num_classifiers")
+    e = _typed_value(doc.get("num_classifiers"), int, "num_classifiers")
     if e < 1:
         raise ValidationError(f"num_classifiers must be a positive integer, got {e!r}")
     pos = _matrix_from_doc(doc, "positive_scores", e)
@@ -432,25 +452,25 @@ def load_solution(path) -> Solution:
             raise ParseError("field 'stats' is not an object")
         # Each stats field but the history has its default's type.
         stats = SearchStats(**{
-            f.name: _json_value(raw_stats[f.name], type(f.default), f"stats.{f.name}")
+            f.name: _typed_value(raw_stats[f.name], type(f.default), f"stats.{f.name}")
             for f in fields(SearchStats)
             if f.name in raw_stats and f.name != "incumbent_history"
         })
         stats.incumbent_history = [
-            (_json_value(t, float, "incumbent time"), _json_value(l, int, "incumbent loss"))
+            (_typed_value(t, float, "incumbent time"), _typed_value(l, int, "incumbent loss"))
             for t, l in raw_stats.get("incumbent_history", [])
         ]
         assignment = [
-            a if a == ROOT_COVERED else _json_value(a, int, "assignment entry")
+            a if a == ROOT_COVERED else _typed_value(a, int, "assignment entry")
             for a in doc["assignment"]
         ]
         return Solution(
             config=tuple(_json_list(doc["thresholds"], float, "thresholds")),
-            loss=_json_value(doc["loss"], int, "loss"),
+            loss=_typed_value(doc["loss"], int, "loss"),
             assignment=assignment,
-            optimal=_json_value(doc["optimal"], bool, "optimal"),
+            optimal=_typed_value(doc["optimal"], bool, "optimal"),
             stats=stats,
-            fallback=_json_value(doc.get("fallback", False), bool, "fallback"),
+            fallback=_typed_value(doc.get("fallback", False), bool, "fallback"),
         )
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"{path}: malformed solution file: {e}") from e

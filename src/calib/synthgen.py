@@ -43,13 +43,13 @@ so neither the blocks nor the rewind change a bit.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
+from typing import get_type_hints
 
 import numpy as np
 
 from .errors import InvalidSpec
-from .problem import Problem
+from .problem import Problem, _typed_value
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -174,11 +174,11 @@ class GenerateSpec:
     hardness_scale: float = 0.55
 
     def __post_init__(self):
-        for name in ("seed", "num_classifiers", "num_positives", "num_negatives",
-                     "dimensions"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise InvalidSpec(f"{name} must be an integer, got {value!r}")
+        # Each field is stored as a plain number of its annotated kind, so no
+        # numpy scalar reaches the checks below or the problems' metadata.
+        for name, kind in _SPEC_KINDS.items():
+            object.__setattr__(self, name,
+                               _typed_value(getattr(self, name), kind, name, InvalidSpec))
         if self.num_classifiers < 1:
             raise InvalidSpec("num_classifiers must be >= 1")
         if self.num_positives < 1:
@@ -187,11 +187,6 @@ class GenerateSpec:
             raise InvalidSpec("num_negatives must be >= 0")
         if self.dimensions < 1:
             raise InvalidSpec("dimensions must be >= 1")
-        for name in ("spread", "noise", "split_fraction", "hardness_fraction",
-                     "hardness_scale"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise InvalidSpec(f"{name} must be a number, got {value!r}")
         for name in ("spread", "noise", "hardness_scale"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidSpec(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -233,6 +228,12 @@ class GenerateSpec:
 
     def planted_count(self) -> int:
         return math.ceil(self.hardness_fraction * self.num_positives)
+
+
+# Each GenerateSpec field and its kind, int or float, from its annotation.
+_SPEC_KINDS = get_type_hints(GenerateSpec)
+# The fields a generated problem's metadata records: all but the sizes.
+_META_FIELDS = [name for name in _SPEC_KINDS if not name.startswith("num_")]
 
 
 def _unit_rows(m: np.ndarray) -> np.ndarray:
@@ -290,16 +291,8 @@ def generate(spec: GenerateSpec) -> tuple[Problem, Problem]:
     del rng
     pos_scores, neg_scores = scores[:, :p_all], scores[:, p_all:]
 
-    meta = {
-        "generator": "planted-cluster",
-        "seed": str(spec.seed),
-        "dimensions": str(d),
-        "spread": repr(spec.spread),
-        "noise": repr(spec.noise),
-        "split_fraction": repr(spec.split_fraction),
-        "hardness_fraction": repr(spec.hardness_fraction),
-        "hardness_scale": repr(spec.hardness_scale),
-    }
+    meta = {"generator": "planted-cluster",
+            **{name: repr(getattr(spec, name)) for name in _META_FIELDS}}
     train = Problem(
         positive_scores=pos_scores[:, :p_train],
         negative_scores=neg_scores[:, :n_train],

@@ -1,6 +1,7 @@
 """Shared fixtures: hand-checked toy problems and the seeded small-instance recipe."""
 
 import itertools
+import logging
 import random
 import re
 
@@ -98,6 +99,18 @@ def dense_sweep_optimum(problem: Problem) -> int:
         for combo in itertools.product(*grids)
         if check_feasible(problem, combo)
     )
+
+
+@pytest.fixture(autouse=True)
+def calib_logger_untouched():
+    """Fail a test that leaves a handler on the calib logger or changes its
+    level: a handler bound to a closed stream prints a logging error when a
+    later record reaches it."""
+    logger = logging.getLogger("calib")
+    before = logger.handlers[:], logger.level
+    yield
+    after = logger.handlers[:], logger.level
+    assert after == before, f"the calib logger was left with handlers {after[0]} at level {after[1]}"
 
 
 @pytest.fixture

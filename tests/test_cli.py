@@ -1,11 +1,14 @@
 """End-to-end CLI tests through subprocess: verbs, exit codes, golden files."""
 
+import argparse
 import csv
 import json
+import logging
 import os
 import shlex
 import subprocess
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +109,41 @@ def test_generate_defaults_are_the_specs(tmp_path):
     assert res.returncode == 0
     save_problem(generate(GenerateSpec(1, 2, 3, 6))[0], ref)
     assert out.read_bytes() == ref.read_bytes()
+
+
+def test_spec_names_map_one_to_one_onto_generate_spec_fields():
+    specs = {f.name: f for f in fields(GenerateSpec)}
+    kinds = {"int": int, "float": float}
+    parser = cli._build_parser()
+    verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = [a for a in verbs.choices["generate"]._actions
+             if a.dest not in ("help", "out", "test_out")]
+    # One `calib generate` flag per field, of its kind; required without a default.
+    assert [cli._SPEC_FIELDS[a.dest] for a in flags] == list(specs)
+    for a in flags:
+        f = specs[cli._SPEC_FIELDS[a.dest]]
+        assert a.type is kinds[f.type] and a.required == (f.default is MISSING)
+    # The bench keys: every field but the seed (from "seeds") and the split,
+    # and the two budgets.
+    bench = cli._BENCH_KEYS - {"seeds", "budget_ms", "node_budget"}
+    assert sorted(cli._SPEC_FIELDS[k] for k in bench) == sorted(
+        set(specs) - {"seed", "split_fraction"})
+    # The metadata: every field but the sizes, in field order.
+    meta = list(generate(GenerateSpec(1, 2, 3, 6))[0].metadata)
+    assert meta == ["generator", *(name for name in specs if name not in (
+        "num_classifiers", "num_positives", "num_negatives")), "split"]
+
+
+def test_main_leaves_the_calib_logger_as_it_found_it(tmp_path, capsys):
+    logger = logging.getLogger("calib")
+    before = logger.handlers[:], logger.level
+    code = cli.main(["solve", str(GOLDEN), "--trace", "--out", str(tmp_path / "sol.json")])
+    assert code == 0
+    assert "incumbent ms=" in capsys.readouterr().err
+    assert (logger.handlers, logger.level) == before
+    # No handler is left on the closed capture stream, nor at DEBUG.
+    logging.getLogger("calib.search").debug("incumbent after the run")
+    assert capsys.readouterr() == ("", "")
 
 
 def test_generate_to_directory_exits_2(tmp_path):
@@ -672,6 +710,21 @@ def test_bench_bad_spec_exits_2(tmp_path, spec, named):
     assert "InvalidSpec" in res.stderr and named in res.stderr
     assert "Traceback" not in res.stderr
     assert not (tmp_path / "bench_nodes.csv").exists()
+
+
+@pytest.mark.parametrize("spec", [
+    {"seeds": [1], "classifiers": 0},
+    {"seeds": [1], "node_budget": 0},
+    {"seeds": [1], "classifers": 3},
+    {"seeds": [1], "noise": True},
+], ids=["size-range", "budget-range", "unknown-key", "bool-noise"])
+def test_bench_spec_errors_name_the_spec_file(tmp_path, spec):
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps(spec))
+    res = run("bench", str(path), "--out-dir", str(tmp_path))
+    assert res.returncode == 2
+    assert res.stderr.startswith(f"calib bench: InvalidSpec: {path}: ")
+    assert res.stderr.count("\n") == 1
 
 
 def test_quiet_log_level_suppresses_info(tmp_path):

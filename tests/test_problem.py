@@ -19,7 +19,9 @@ from calib import (
     ShiftParams,
     Solution,
     GenerateSpec,
+    InvalidSpec,
     ParseError,
+    SearchOptions,
     ValidationError,
     check_feasible,
     compute_loss,
@@ -35,7 +37,7 @@ from calib import (
 )
 
 from calib.calibrators import MAP_KINDS, METHODS
-from calib.problem import _write_json
+from calib.problem import _typed_value, _write_json
 from conftest import NOT_RFC_8259, problem_text, toy_two_by_two
 
 
@@ -48,6 +50,35 @@ def test_shape_validation():
         Problem(np.zeros((1, 0)), np.zeros((1, 4)))
     with pytest.raises(ValidationError):
         Problem(np.array([[np.nan]]), np.zeros((1, 2)))
+
+
+@pytest.mark.parametrize("field", ["positive_scores", "negative_scores"])
+@pytest.mark.parametrize("scores", [[["x"]], [[0.5], [0.5, 0.7]], [[1j]], np.array([[1j]])],
+                         ids=["non-numeric", "ragged", "complex", "complex-array"])
+def test_scores_that_are_no_real_matrix_are_invalid(field, scores):
+    # numpy alone raises ValueError or TypeError, or drops an imaginary part.
+    given = {"positive_scores": [[0.5]] * len(scores), "negative_scores": [[0.1]] * len(scores),
+             field: scores}
+    with pytest.raises(ValidationError, match=f"{field} must be a matrix of real numbers"):
+        Problem(**given)
+
+
+def test_typed_value_returns_plain_numbers_or_the_callers_error():
+    assert type(_typed_value(np.int64(3), int, "n")) is int
+    assert type(_typed_value(np.float32(0.25), float, "x")) is float
+    assert _typed_value(2, float, "x") == 2.0
+    for bad, kind in ((True, int), (np.bool_(True), int), (False, float), (2.0, int), ("1", float)):
+        with pytest.raises(InvalidSpec, match="name must be an? "):
+            _typed_value(bad, kind, "name", InvalidSpec)
+    with pytest.raises(ParseError, match="x must be a number within float range"):
+        _typed_value(10**400, float, "x")
+
+
+def test_a_number_past_float_range_is_the_callers_error():
+    with pytest.raises(InvalidSpec, match="spread must be a number within float range"):
+        GenerateSpec(1, 2, 3, 6, spread=10**400)
+    with pytest.raises(ValueError, match="budget_ms must be a number within float range"):
+        SearchOptions(budget_ms=10**400)
 
 
 def test_duplicate_ids_rejected():

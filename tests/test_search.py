@@ -240,10 +240,8 @@ def test_random_order_still_exact():
 
 
 @pytest.fixture
-def incumbent_log(caplog, monkeypatch):
-    """caplog at DEBUG on calib.search.  The calib logger's own handlers go
-    for the test: an in-process CLI run may have left one on a closed stream."""
-    monkeypatch.setattr(logging.getLogger("calib"), "handlers", [])
+def incumbent_log(caplog):
+    """caplog at DEBUG on calib.search."""
     caplog.set_level(logging.DEBUG, logger="calib.search")
     return caplog
 

@@ -3,12 +3,13 @@
 import copy
 import hashlib
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from calib import CounterRng, GenerateSpec, InvalidSpec, generate, synthgen
+from calib import CounterRng, GenerateSpec, InvalidSpec, generate, save_problem, synthgen
 
 # Reference outputs of the SplitMix64 mix at counters 0..2.  Independently
 # derived from the published constants (gamma 0x9E3779B97F4A7C15, multipliers
@@ -179,6 +180,20 @@ def test_spec_validation():
     with pytest.raises(InvalidSpec):
         # a split this lopsided leaves no test positives
         generate(replace(BASE, num_positives=1, split_fraction=0.99))
+
+
+def test_numpy_scalars_are_stored_as_plain_numbers(tmp_path):
+    plain = GenerateSpec(seed=3, num_classifiers=3, num_positives=4, num_negatives=10,
+                         spread=0.25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = GenerateSpec(seed=np.int64(3), num_classifiers=3, num_positives=4,
+                            num_negatives=10, spread=np.float32(0.25))
+        assert spec == plain
+        assert type(spec.seed) is int and type(spec.spread) is float
+        for name, s in (("plain.json", plain), ("numpy.json", spec)):
+            save_problem(generate(s)[0], tmp_path / name)
+    assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
 
 @pytest.mark.parametrize("bad", [
